@@ -80,9 +80,9 @@ fn bench_analog_pipeline(c: &mut Criterion) {
 }
 
 /// Cross-frame throughput: a short frame stream through the serial
-/// per-frame executor vs the batched persistent-pool engine (the
-/// BENCH_throughput.json axes, criterion-sized). The pool is built once
-/// outside the timing loop — its persistence is the thing being measured.
+/// per-frame executor vs the batch executor (the BENCH_throughput.json
+/// axes, criterion-sized). The executor is built once outside the timing
+/// loop, so its per-worker frame contexts stay warm across iterations.
 fn bench_frame_throughput(c: &mut Criterion) {
     let spec = zoo::micronet(8, 10);
     let prefix = spec.prefix_through("pool3").unwrap();

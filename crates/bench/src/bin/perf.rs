@@ -10,8 +10,8 @@
 //!   Box–Muller vs batched polar) plus whole GoogLeNet frames at
 //!   Depth1/Depth3/Depth5 across analog thread budgets.
 //! - **Throughput** (`BENCH_throughput.json`): sustained frames/sec over a
-//!   frame stream — the serial per-frame path against the batched
-//!   persistent-worker-pool engine at worker counts 1/2/4, per depth.
+//!   frame stream — the serial per-frame path against the batch executor
+//!   at worker counts 1/2/4, per depth.
 //! - **GEMM i8** (`BENCH_gemm_i8.json`, via `--gemm-i8`): the integer
 //!   code-domain GEMM engine against the f32 engine at the Depth3 conv
 //!   shape, single thread.
@@ -40,13 +40,13 @@
 
 use redeye_bench::schema::{ConvRow, Row, ThroughputRow};
 use redeye_bench::workload::{self, DepthScenario};
-use redeye_core::{auto_workers, BatchExecutor, Depth, Executor, NoiseMode};
+use redeye_core::{BatchExecutor, Depth, Executor, NoiseMode};
 use redeye_nn::{build_network, zoo, Network, NetworkSpec, WeightInit};
 use redeye_sim::{extract_params, instrument, AccuracyHarness, InstrumentOptions};
 use redeye_tensor::{
     conv_gemm_packed_into, gemm, gemm_i8_into, gemm_into, gemm_into_level, im2col_into,
-    matmul_naive, ConvGeom, NoiseSource, NoiseStream, PackBuffersI8, PackedWeights, Rng, SimdLevel,
-    Tensor, Workspace,
+    matmul_naive, par_map, ConvGeom, NoiseSource, NoiseStream, PackBuffersI8, PackedWeights, Rng,
+    SimdLevel, Tensor, Workspace,
 };
 use std::time::Instant;
 
@@ -252,13 +252,8 @@ fn bench_noise_kernels(rows: &mut Vec<Row>, smoke: bool) {
     let mut sharded_ms = |threads: usize| {
         best_of(reps, || {
             let chunk = n.div_ceil(threads).div_ceil(2) * 2;
-            std::thread::scope(|scope| {
-                for (t, band) in buf.chunks_mut(chunk).enumerate() {
-                    let stream = &stream;
-                    scope.spawn(move || {
-                        stream.fill_standard_normal_at((t * chunk) as u64, band);
-                    });
-                }
+            par_map(buf.chunks_mut(chunk).collect(), |t, band| {
+                stream.fill_standard_normal_at((t * chunk) as u64, band);
             });
             std::hint::black_box(&buf);
         })
@@ -339,7 +334,7 @@ fn bench_analog_frames(rows: &mut Vec<Row>, scenarios: &[DepthScenario], smoke: 
 }
 
 /// Sustained frames/sec over a frame stream per depth: the serial per-frame
-/// executor against the batched persistent-pool engine at 1/2/4 workers.
+/// executor against the batch executor at 1/2/4 workers.
 ///
 /// Every configuration runs the *same* frame stream from frame 0 (fresh
 /// executor per variant) so the noise workload is identical; the batch path
@@ -564,26 +559,6 @@ fn bench_conv(rows: &mut Vec<ConvRow>, smoke: bool) {
     }
 }
 
-/// Parses `--workers <n|auto>`; the default worker budget is the machine's
-/// available parallelism.
-fn parse_workers(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--workers" {
-            let v = it
-                .next()
-                .expect("--workers needs a value: a count or `auto`");
-            if v == "auto" {
-                return auto_workers();
-            }
-            return v
-                .parse()
-                .expect("--workers value must be a positive count or `auto`");
-        }
-    }
-    auto_workers()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -591,7 +566,7 @@ fn main() {
     let throughput_only = args.iter().any(|a| a == "--throughput");
     let gemm_i8_only = args.iter().any(|a| a == "--gemm-i8");
     let conv_only = args.iter().any(|a| a == "--conv");
-    let max_workers = parse_workers(&args);
+    let max_workers = workload::parse_workers(&args);
 
     if conv_only {
         let mut rows: Vec<ConvRow> = Vec::new();

@@ -25,9 +25,7 @@
 use redeye_analog::Seconds;
 use redeye_bench::schema::FleetRow;
 use redeye_bench::workload::{self, FleetScenario};
-use redeye_core::{
-    auto_workers, FleetEngine, FleetExecutor, FleetOptions, FleetReport, FrameEngine,
-};
+use redeye_core::{FleetEngine, FleetExecutor, FleetOptions, FleetReport, FrameEngine};
 use redeye_sim::{fleet_workload, WorkloadOptions};
 use redeye_system::{BleLink, Cloudlet, JetsonHost, JetsonKind};
 use std::time::Instant;
@@ -233,29 +231,10 @@ fn bench_sweep(
     }
 }
 
-/// Parses `--workers <n|auto>`; default is the machine's parallelism.
-fn parse_workers(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--workers" {
-            let v = it
-                .next()
-                .expect("--workers needs a value: a count or `auto`");
-            if v == "auto" {
-                return auto_workers();
-            }
-            return v
-                .parse()
-                .expect("--workers value must be a positive count or `auto`");
-        }
-    }
-    auto_workers()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let workers = parse_workers(&args);
+    let workers = workload::parse_workers(&args);
 
     let scenario = workload::fleet_scenario(smoke);
     println!(

@@ -163,8 +163,8 @@ pub fn fig8() {
 }
 
 /// Shared accuracy sweep: returns `(top1, top5)` of the trained stand-in at
-/// one (SNR, bits) point. The harness (validation set + crossbeam worker
-/// pool) is built once per figure and reused across sweep points; each
+/// one (SNR, bits) point. The harness (validation set + worker-thread
+/// budget) is built once per figure and reused across sweep points; each
 /// point's frames are sharded across the harness's worker threads.
 fn accuracy_at(
     harness: &AccuracyHarness,

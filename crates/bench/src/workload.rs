@@ -8,12 +8,13 @@
 //! raw-input pipeline (gamma undone, Poisson shot noise, fixed-pattern
 //! noise). Energy curves always come from the exact GoogLeNet geometry.
 
-use redeye_core::{compile, CompileOptions, Depth, Program, WeightBank};
+use redeye_core::{auto_workers, compile, CompileOptions, Depth, Program, WeightBank};
 use redeye_dataset::{sensor, SyntheticDataset};
 use redeye_nn::train::{evaluate, train_epoch, Example, Sgd};
 use redeye_nn::{build_network, summarize, zoo, NetworkSpec, WeightInit};
 use redeye_sim::extract_params;
 use redeye_tensor::{Rng, Tensor};
+use std::num::NonZeroUsize;
 
 /// Number of classes in the stand-in task.
 pub const CLASSES: usize = 32;
@@ -239,6 +240,28 @@ pub fn worker_counts(max: usize) -> Vec<usize> {
     counts
 }
 
+/// Parses `--workers <n|auto>` from a bin's arguments; without the flag,
+/// or with `auto`, the budget is the host's [`auto_workers`].
+///
+/// # Panics
+///
+/// Panics with a usage message when the value is missing, zero or not a
+/// number.
+pub fn parse_workers(args: &[String]) -> usize {
+    let Some(pos) = args.iter().position(|a| a == "--workers") else {
+        return auto_workers();
+    };
+    let v = args
+        .get(pos + 1)
+        .expect("--workers needs a value: a count or `auto`");
+    if v == "auto" {
+        return auto_workers();
+    }
+    v.parse::<NonZeroUsize>()
+        .expect("--workers value must be a positive count or `auto`")
+        .get()
+}
+
 /// The validation shard for noise sweeps (fresh indices, same capture
 /// pipeline).
 pub fn validation_set(n: usize, seed: u64) -> Vec<(Tensor, usize)> {
@@ -277,6 +300,29 @@ mod tests {
         assert_eq!(worker_counts(4), vec![1, 2, 4]);
         assert_eq!(worker_counts(6), vec![1, 2, 4, 6]);
         assert_eq!(worker_counts(0), vec![1], "a zero budget still runs");
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| (*a).to_string()).collect()
+    }
+
+    #[test]
+    fn parse_workers_reads_counts_and_auto() {
+        assert_eq!(parse_workers(&args(&["--smoke", "--workers", "3"])), 3);
+        assert_eq!(parse_workers(&args(&["--workers", "auto"])), auto_workers());
+        assert_eq!(parse_workers(&args(&["--smoke"])), auto_workers());
+    }
+
+    #[test]
+    #[should_panic(expected = "positive count or `auto`")]
+    fn parse_workers_rejects_zero() {
+        parse_workers(&args(&["--workers", "0"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "positive count or `auto`")]
+    fn parse_workers_rejects_non_numeric() {
+        parse_workers(&args(&["--workers", "many"]));
     }
 
     #[test]

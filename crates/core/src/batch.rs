@@ -1,56 +1,33 @@
-//! Cross-frame batched execution over a persistent worker pool.
+//! Cross-frame batched execution on the work-stealing scheduler.
 //!
 //! RedEye is a *continuous* vision sensor: the interesting throughput
 //! metric is sustained frames/sec over a stream, not the latency of one
 //! frame. Within-frame parallelism is Amdahl-capped (the packed GEMM
 //! dominates frame time — see `BENCH_analog.json`), so the next scaling
-//! axis is *across* frames: [`BatchExecutor`] shares one immutable
-//! [`FrameEngine`] across a pool of persistent `std::thread` workers, each
-//! owning a pre-allocated [`FrameCtx`] whose conv workspace survives from
-//! batch to batch (steady-state frames perform no im2col/packing
-//! allocations on any worker).
-//!
-//! # Claim protocol
-//!
-//! Each batch publishes one [`Job`] to every worker: the shared engine, the
-//! input frames, the base frame number, and a shared atomic claim counter.
-//! Workers `fetch_add` the counter to claim frame indices until the batch
-//! is drained — a work-*claiming* queue rather than static striping, so a
-//! slow frame (a deeper inception branch, a cache-cold worker) never stalls
-//! frames behind it on the same worker.
+//! axis is *across* frames: [`BatchExecutor`] runs each batch's frame
+//! indices as tasks on [`run_stealing`], the same scheduler the fleet
+//! executor uses, against one immutable [`FrameEngine`]. Each worker
+//! borrows one of the executor's pre-allocated [`FrameCtx`]s, whose conv
+//! workspace survives from batch to batch (steady-state frames perform no
+//! im2col/packing allocations on any worker).
 //!
 //! # Determinism
 //!
 //! Frame `base + i`'s noise is a pure function of `(seed, base + i,
-//! instruction, site, draw)` — never of the worker that ran it, the claim
-//! order, or the pool size. Results return through a channel in completion
-//! order and are re-sequenced into *frame order*; the merged ledger is
-//! folded frame-by-frame in that order (the same band-order discipline the
-//! column-parallel stages use), and the cumulative forced-comparator
-//! diagnostic is accumulated in frame order too. Batched output is
-//! therefore **bit-identical to the serial [`Executor`](crate::Executor)**
-//! for the same seed, at any worker count and any batch size.
+//! instruction, site, draw)` — never of the worker that ran it, the steal
+//! schedule, or the pool size. The scheduler returns results in *frame
+//! order*; the merged ledger is folded frame-by-frame in that order (the
+//! same band-order discipline the column-parallel stages use), and the
+//! cumulative forced-comparator diagnostic is accumulated in frame order
+//! too. Batched output is therefore **bit-identical to the serial
+//! [`Executor`](crate::Executor)** for the same seed, at any worker count
+//! and any batch size.
 
-use crate::executor::{ExecutionResult, FrameCtx, FrameEngine, FrameOutput};
+use crate::executor::{ExecutionResult, FrameCtx, FrameEngine};
+use crate::stealing::{run_stealing, StealOptions};
 use crate::{CoreError, EnergyLedger, Program, Result};
 use redeye_tensor::Tensor;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
-
-/// One batch's worth of work, published to every worker.
-struct Job {
-    engine: Arc<FrameEngine>,
-    inputs: Arc<[Tensor]>,
-    /// Frame number of `inputs[0]`; frame `i` of the batch runs as
-    /// `base_frame + i`.
-    base_frame: u64,
-    /// Next unclaimed batch index; workers `fetch_add` to claim.
-    claim: Arc<AtomicUsize>,
-    /// Where claimed frames' outputs go, tagged with their batch index.
-    results: Sender<(usize, Result<FrameOutput>)>,
-}
+use std::sync::{Mutex, PoisonError};
 
 /// The result of one batch of frames.
 #[derive(Debug)]
@@ -75,11 +52,11 @@ impl BatchResult {
     }
 }
 
-/// Drives batches of frames through a persistent worker pool sharing one
+/// Drives batches of frames through a worker pool sharing one
 /// [`FrameEngine`].
 ///
-/// Workers are spawned once at construction and live until the executor is
-/// dropped; each owns a pre-allocated [`FrameCtx`] that is reused across
+/// Each batch runs on the work-stealing scheduler with up to `workers`
+/// workers; worker `w` reuses the `w`-th pre-allocated [`FrameCtx`] across
 /// batches. Output is bit-identical to the serial
 /// [`Executor`](crate::Executor) for the same seed at any worker count and
 /// any batch size (see the module docs for why).
@@ -115,10 +92,9 @@ impl BatchResult {
 /// ```
 #[derive(Debug)]
 pub struct BatchExecutor {
-    engine: Arc<FrameEngine>,
-    /// One job channel per worker; dropping them shuts the pool down.
-    senders: Vec<Sender<Job>>,
-    handles: Vec<JoinHandle<()>>,
+    engine: FrameEngine,
+    /// One reusable frame context per worker.
+    ctxs: Vec<Mutex<FrameCtx>>,
     /// Frame number the next batch starts at.
     next_frame: u64,
     /// Cumulative forced comparator decisions across all batches, folded
@@ -126,42 +102,18 @@ pub struct BatchExecutor {
     forced_total: u64,
 }
 
-/// The worker count the host actually offers:
-/// [`std::thread::available_parallelism`], or 1 when the host cannot say.
-///
-/// This is the default pool size everywhere a worker count is optional
-/// (the batch executor's [`BatchExecutor::new_auto`], the fleet executor,
-/// the perf bins' `--workers auto`), so hosts stop hard-coding sweeps
-/// like 1/2/4 that only measure queue overhead on smaller machines.
-pub fn auto_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 impl BatchExecutor {
-    /// Creates a batch executor for `program` with a pool of `workers`
-    /// persistent threads (clamped to at least 1), seeding all stochastic
-    /// behaviour from `seed`.
+    /// Creates a batch executor for `program` with `workers` workers
+    /// (clamped to at least 1), seeding all stochastic behaviour from
+    /// `seed`.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Verify`] if the program fails static
-    /// verification — checked eagerly here, before any worker spawns, so a
-    /// bad program never reaches the pool.
+    /// verification — checked eagerly here, so a bad program never reaches
+    /// a worker.
     pub fn new(program: Program, seed: u64, workers: usize) -> Result<Self> {
         Self::with_engine(FrameEngine::new(program, seed), workers)
-    }
-
-    /// Creates a batch executor sized to the host: a pool of
-    /// [`auto_workers`] persistent threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Verify`] if the program fails static
-    /// verification.
-    pub fn new_auto(program: Program, seed: u64) -> Result<Self> {
-        Self::new(program, seed, auto_workers())
     }
 
     /// Creates a batch executor around a pre-configured engine (noise mode
@@ -173,26 +125,19 @@ impl BatchExecutor {
     /// verification.
     pub fn with_engine(engine: FrameEngine, workers: usize) -> Result<Self> {
         engine.verify()?;
-        let workers = workers.max(1);
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = mpsc::channel::<Job>();
-            senders.push(tx);
-            handles.push(std::thread::spawn(move || worker_loop(&rx)));
-        }
         Ok(BatchExecutor {
-            engine: Arc::new(engine),
-            senders,
-            handles,
+            engine,
+            ctxs: (0..workers.max(1))
+                .map(|_| Mutex::new(FrameCtx::new()))
+                .collect(),
             next_frame: 0,
             forced_total: 0,
         })
     }
 
-    /// Number of persistent workers in the pool.
+    /// Number of workers a batch may use.
     pub fn workers(&self) -> usize {
-        self.senders.len()
+        self.ctxs.len()
     }
 
     /// The shared engine (program, stream, knobs).
@@ -215,7 +160,7 @@ impl BatchExecutor {
     }
 
     /// Executes `inputs` as frames `next_frame .. next_frame + inputs.len()`
-    /// across the worker pool and returns the results in frame order.
+    /// across the workers and returns the results in frame order.
     ///
     /// # Errors
     ///
@@ -234,44 +179,26 @@ impl BatchExecutor {
                 });
             }
         }
-        if inputs.is_empty() {
-            return Ok(BatchResult {
-                frames: Vec::new(),
-                ledger: EnergyLedger::new(),
-            });
-        }
-        let n = inputs.len();
-        let inputs: Arc<[Tensor]> = inputs.to_vec().into();
-        let claim = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = mpsc::channel();
-        for sender in &self.senders {
-            sender
-                .send(Job {
-                    engine: Arc::clone(&self.engine),
-                    inputs: Arc::clone(&inputs),
-                    base_frame: self.next_frame,
-                    claim: Arc::clone(&claim),
-                    results: tx.clone(),
-                })
-                .expect("batch worker exited prematurely");
-        }
-        drop(tx);
-
-        // Re-sequence completion order into frame order. Every claimed
-        // index sends exactly one result, so exactly `n` messages arrive.
-        let mut slots: Vec<Option<Result<FrameOutput>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, out) = rx.recv().expect("batch worker dropped a frame");
-            slots[i] = Some(out);
-        }
+        let (engine, ctxs, base) = (&self.engine, &self.ctxs, self.next_frame);
+        let indices: Vec<usize> = (0..inputs.len()).collect();
+        let (outputs, _) = run_stealing(
+            &indices,
+            ctxs.len(),
+            StealOptions::default(),
+            // Worker `w` is the only user of `ctxs[w]`, so the lock never
+            // waits. A poisoned context only means an earlier frame panicked
+            // mid-run; its workspace is scratch every frame overwrites.
+            |w| ctxs[w].lock().unwrap_or_else(PoisonError::into_inner),
+            |ctx, &i| engine.run_frame(base + i as u64, &inputs[i], ctx),
+        );
 
         // Deterministic frame-order merge: cumulative forced tally and the
         // f64 ledger fold both walk frames in order, so the totals are
-        // bit-identical to a serial run regardless of completion order.
-        let mut frames = Vec::with_capacity(n);
+        // bit-identical to a serial run regardless of the steal schedule.
+        let mut frames = Vec::with_capacity(outputs.len());
         let mut ledger = EnergyLedger::new();
-        for slot in slots {
-            let out = slot.expect("claimed frame produced no result")?;
+        for out in outputs {
+            let out = out?;
             self.forced_total += out.forced;
             ledger.merge(&out.ledger);
             frames.push(ExecutionResult {
@@ -284,40 +211,8 @@ impl BatchExecutor {
                 code_mac_hits: out.code_mac_hits,
             });
         }
-        self.next_frame += n as u64;
+        self.next_frame += inputs.len() as u64;
         Ok(BatchResult { frames, ledger })
-    }
-}
-
-impl Drop for BatchExecutor {
-    fn drop(&mut self) {
-        // Closing the job channels ends each worker's recv loop.
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// A pool worker: one persistent [`FrameCtx`] (the pre-allocated conv
-/// workspace) reused across every job and every claimed frame.
-fn worker_loop(jobs: &Receiver<Job>) {
-    let mut ctx = FrameCtx::new();
-    while let Ok(job) = jobs.recv() {
-        loop {
-            let i = job.claim.fetch_add(1, Ordering::Relaxed);
-            if i >= job.inputs.len() {
-                break;
-            }
-            let out = job
-                .engine
-                .run_frame(job.base_frame + i as u64, &job.inputs[i], &mut ctx);
-            if job.results.send((i, out)).is_err() {
-                // The batch owner bailed (an earlier frame errored); stop
-                // claiming and wait for the next job.
-                break;
-            }
-        }
     }
 }
 
@@ -403,6 +298,20 @@ mod tests {
                 "{workers} workers: merged ledger diverged"
             );
         }
+    }
+
+    #[test]
+    fn batches_smaller_than_the_pool_match_serial() {
+        // 4 workers on a 1-frame batch (inline path) and a 3-frame batch
+        // (pool clamped to 3 workers) still reproduce the serial stream.
+        let program = micronet_program(35.0, 8);
+        let inputs = frame_stream(4, 23);
+        let (want, _) = serial_reference(&program, 13, &inputs);
+        let mut batch = BatchExecutor::new(program, 13, 4).unwrap();
+        let mut got = batch.execute_batch(&inputs[..1]).unwrap().frames;
+        got.extend(batch.execute_batch(&inputs[1..]).unwrap().frames);
+        assert_frames_eq(&want, &got, "batches of 1 and 3 on 4 workers");
+        assert_eq!(batch.next_frame(), 4);
     }
 
     #[test]

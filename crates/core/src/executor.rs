@@ -34,10 +34,10 @@
 //! and a per-frame mutable [`FrameCtx`] (frame counter, conv scratch
 //! workspace, forced-comparator tally). [`Executor`] binds one engine to one
 //! sequential context; [`BatchExecutor`](crate::BatchExecutor) shares one
-//! engine across a persistent worker pool, one pre-allocated context per
-//! worker, and is bit-identical to the serial path at any worker count
-//! because frame `f`'s noise depends only on `(seed, f)` — never on which
-//! worker ran it or what ran before.
+//! engine across the work-stealing scheduler's workers, one pre-allocated
+//! context per worker, and is bit-identical to the serial path at any
+//! worker count because frame `f`'s noise depends only on `(seed, f)` —
+//! never on which worker ran it or what ran before.
 
 use crate::{CoreError, EnergyLedger, Instruction, Program, Result};
 use redeye_analog::calib::{
@@ -46,8 +46,9 @@ use redeye_analog::calib::{
 };
 use redeye_analog::{Comparator, DampingConfig, SarAdc, Seconds, SnrDb};
 use redeye_tensor::{
-    conv_gemm_into, conv_gemm_packed_into, gemm_i8_into, gemm_into_level, im2col_into, ConvGeom,
-    NoiseSource, NoiseStream, PackBuffersI8, PackedWeights, PoolGeom, SimdLevel, Tensor, Workspace,
+    conv_gemm_into, conv_gemm_packed_into, gemm_i8_into, gemm_into_level, im2col_into, par_map,
+    ConvGeom, NoiseSource, NoiseStream, PackBuffersI8, PackedWeights, PoolGeom, SimdLevel, Tensor,
+    Workspace,
 };
 use std::sync::OnceLock;
 
@@ -426,7 +427,7 @@ impl FrameEngine {
 /// forced-comparator tally.
 ///
 /// One context belongs to one worker: the batch executor pre-allocates one
-/// per pool thread so steady-state frames perform no im2col/packing
+/// per worker so steady-state frames perform no im2col/packing
 /// allocations, exactly like the serial path.
 #[derive(Debug, Default)]
 pub struct FrameCtx {
@@ -597,7 +598,7 @@ impl FrameCtx {
 /// [`BatchExecutor`](crate::BatchExecutor).
 ///
 /// Three thread knobs exist across the stack: frame-level parallelism in
-/// `redeye-sim`'s accuracy harness and the batch executor's worker pool,
+/// `redeye-sim`'s accuracy harness and the batch executor's workers,
 /// the GEMM budget for conv products ([`Executor::set_gemm_threads`]), and
 /// the analog-stage budget for the per-site pipelines
 /// ([`Executor::set_analog_threads`]).
@@ -1148,11 +1149,13 @@ impl FramePass<'_> {
         let src = x.as_slice();
         let mut codes = vec![0u32; n];
         let mut deq = vec![0.0f32; n];
-        let convert_band = |first: usize, cband: &mut [u32], dband: &mut [f32]| -> u64 {
+        let chunk = band_len(self.analog_threads, n, 1);
+        let bands = codes.chunks_mut(chunk).zip(deq.chunks_mut(chunk)).collect();
+        let band_clips = par_map(bands, |t, (cband, dband): (&mut [u32], &mut [f32])| {
             let mut adc = template.clone();
             let mut clips = 0u64;
             for (i, (code, d)) in cband.iter_mut().zip(dband.iter_mut()).enumerate() {
-                let idx = first + i;
+                let idx = t * chunk + i;
                 let mut site = stream.at(idx as u64);
                 if src[idx] < 0.0 {
                     clips += 1;
@@ -1162,29 +1165,8 @@ impl FramePass<'_> {
                 *d = (conv.reconstruct() * full_scale) as f32;
             }
             clips
-        };
-        let threads = effective_threads(self.analog_threads, n);
-        let mut rail_clips = 0u64;
-        if threads <= 1 {
-            rail_clips = convert_band(0, &mut codes, &mut deq);
-        } else {
-            let chunk = n.div_ceil(threads);
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = codes
-                    .chunks_mut(chunk)
-                    .zip(deq.chunks_mut(chunk))
-                    .enumerate()
-                    .map(|(t, (cband, dband))| {
-                        let convert_band = &convert_band;
-                        scope.spawn(move |_| convert_band(t * chunk, cband, dband))
-                    })
-                    .collect();
-                for h in handles {
-                    rail_clips += h.join().expect("quantize worker panicked");
-                }
-            })
-            .expect("quantize thread scope");
-        }
+        });
+        let rail_clips = band_clips.into_iter().sum();
         self.ledger.quantization += template.energy_per_conversion() * n as f64;
         self.ledger.conversions += n as u64;
         self.ledger.readout_bits += n as u64 * u64::from(bits);
@@ -1313,15 +1295,17 @@ fn code_domain_mac(
     true
 }
 
-/// The thread count a stage of `sites` elements actually uses under a
-/// `threads` budget: serial below [`ANALOG_PARALLEL_MIN`], never more than
-/// one site per worker.
-fn effective_threads(threads: usize, sites: usize) -> usize {
-    if sites < ANALOG_PARALLEL_MIN {
+/// The band length a stage of `sites` elements splits into under a
+/// `threads` budget: one band below [`ANALOG_PARALLEL_MIN`] sites,
+/// otherwise one per thread (never more than one per site), rounded up to
+/// a multiple of `align` and never zero.
+fn band_len(threads: usize, sites: usize, align: usize) -> usize {
+    let threads = if sites < ANALOG_PARALLEL_MIN {
         1
     } else {
         threads.max(1).min(sites)
-    }
+    };
+    sites.div_ceil(threads).div_ceil(align).max(1) * align
 }
 
 /// Runs `f` over bands of `data` whose starts are multiples of `align`
@@ -1334,27 +1318,10 @@ where
     R: Send,
     F: Fn(usize, &mut [T]) -> R + Sync,
 {
-    let n = data.len();
-    let threads = effective_threads(threads, n);
-    if threads <= 1 {
-        return vec![f(0, data)];
-    }
-    let chunk = n.div_ceil(threads).div_ceil(align).max(1) * align;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = data
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(t, band)| {
-                let f = &f;
-                scope.spawn(move |_| f(t * chunk, band))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("analog worker panicked"))
-            .collect()
+    let chunk = band_len(threads, data.len(), align);
+    par_map(data.chunks_mut(chunk).collect(), |t, band| {
+        f(t * chunk, band)
     })
-    .expect("analog thread scope")
 }
 
 /// Clips at the positive rail (max observed swing under unity gain staging)

@@ -27,9 +27,8 @@
 //! granularity, so "bit-identical across worker counts" is a one-integer
 //! comparison even for fleets too large to retain feature tensors.
 
-use crate::batch::auto_workers;
 use crate::executor::{FrameCtx, FrameEngine, FrameOutput};
-use crate::stealing::{run_stealing, StealOptions};
+use crate::stealing::{auto_workers, run_stealing, StealOptions};
 use crate::{Program, Result};
 use redeye_analog::{Joules, ProcessCorner, Seconds};
 use redeye_tensor::{NoiseStream, Tensor};

@@ -18,13 +18,18 @@
 //!   (damped-node Gaussian noise, comparator max-pooling, bit-accurate SAR
 //!   quantization), producing features *and* an [`EnergyLedger`].
 //! - [`BatchExecutor`] — the **cross-frame throughput engine**: batches of
-//!   frames through a persistent worker pool sharing one immutable
-//!   [`FrameEngine`], bit-identical to the serial [`Executor`] at any
-//!   worker count (continuous-vision frames/sec is the headline metric).
+//!   frames sharing one immutable [`FrameEngine`], scheduled as tasks on
+//!   [`run_stealing`] with one reused [`FrameCtx`] per worker, and
+//!   bit-identical to the serial [`Executor`] at any worker count
+//!   (continuous-vision frames/sec is the headline metric).
 //! - [`FleetEngine`] / [`FleetExecutor`] — **fleet-scale simulation**:
 //!   thousands of devices as lightweight [`DeviceCtx`] views over one
-//!   shared pack-once engine, scheduled by a work-stealing deque pool
-//!   ([`stealing`]) and bit-identical at any worker count.
+//!   shared pack-once engine, bit-identical at any worker count.
+//! - [`stealing`] — the **one task scheduler** the batch and fleet paths
+//!   share: per-worker deques with work stealing, results in submission
+//!   order. Its workers, like every other parallel stage (GEMM row bands,
+//!   the analog stages' site bands), start through
+//!   [`redeye_tensor::par_map`], the workspace's one thread spawner.
 //! - [`estimate`] — the **analytic estimator**: exact per-depth energy,
 //!   timing, and readout workloads for full-size networks (GoogLeNet at
 //!   227×227) from shape propagation alone; this is what regenerates the
@@ -67,7 +72,7 @@ pub mod stacking;
 pub mod stealing;
 pub mod topology;
 
-pub use batch::{auto_workers, BatchExecutor, BatchResult};
+pub use batch::{BatchExecutor, BatchResult};
 pub use compile::{compile, CompileOptions, VerifyPolicy, WeightBank};
 pub use energy::EnergyLedger;
 pub use error::CoreError;
@@ -87,7 +92,7 @@ pub use redeye_verify::{
     ResourceLimits, Severity, VerifyOptions,
 };
 pub use sram::{FeatureSram, ProgramSram, FEATURE_SRAM_BYTES, KERNEL_SRAM_BYTES, TOTAL_SRAM_BYTES};
-pub use stealing::{run_stealing, Placement, StealOptions, StealStats, VictimOrder};
+pub use stealing::{auto_workers, run_stealing, Placement, StealOptions, StealStats, VictimOrder};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -1,14 +1,15 @@
 //! A work-stealing task scheduler in the Chase–Lev deque style, for
 //! heterogeneous task sets over a fixed worker pool.
 //!
-//! The batch executor's atomic-counter claiming hands out *uniform* frames
-//! round-robin — fine when every task costs the same, poor when a fleet
-//! mixes device workloads of very different weight (a low-light device's
-//! denoised burst next to a privacy-filtered thumbnail). This module keeps
-//! the classic Chase–Lev discipline — every worker owns a deque, pops its
-//! own work LIFO from the back, and steals FIFO from the front of a
-//! victim's deque when it runs dry — so heavy tails migrate to idle
-//! workers instead of serializing behind a counter.
+//! This is the simulator's one task scheduler: the fleet executor runs its
+//! device×frame tasks on it and [`BatchExecutor`](crate::BatchExecutor)
+//! runs frame indices on it. Task weights can differ widely — a low-light
+//! device's denoised burst next to a privacy-filtered thumbnail — so it
+//! keeps the classic Chase–Lev discipline: every worker owns a deque, pops
+//! its own work LIFO from the back, and steals FIFO from the front of a
+//! victim's deque when it runs dry, so heavy tails migrate to idle workers
+//! instead of serializing behind one queue. Workers start through
+//! [`redeye_tensor::par_map`], the workspace's one thread spawner.
 //!
 //! The canonical Chase–Lev deque is a lock-free array with subtle
 //! publication ordering; this crate forbids `unsafe`, so each deque is a
@@ -27,9 +28,23 @@
 //! and victim order are explicit knobs so tests can prove output equality
 //! across materially different steal schedules.
 
+use redeye_tensor::par_map;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The worker count the host actually offers:
+/// [`std::thread::available_parallelism`], or 1 when the host cannot say.
+///
+/// This is the default pool size everywhere a worker count is optional
+/// (the fleet executor, the perf bins' `--workers auto`), so hosts stop
+/// hard-coding sweeps like 1/2/4 that only measure queue overhead on
+/// smaller machines.
+pub fn auto_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
 
 /// How submitted tasks are distributed across the worker deques before
 /// execution starts.
@@ -77,13 +92,22 @@ pub struct StealStats {
 /// One worker's deque: tasks tagged with their submission index.
 type Deque<T> = Mutex<VecDeque<(usize, T)>>;
 
+/// Locks a deque. A deque lock is only ever held across `VecDeque` pushes
+/// and pops, which leave the queue consistent even if a panic interrupts
+/// them, so a poisoned lock is used as is.
+fn lock<T>(deque: &Deque<T>) -> MutexGuard<'_, VecDeque<(usize, T)>> {
+    deque.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Runs every task on a pool of `workers` threads with work stealing, and
 /// returns the results **in submission order** plus scheduler counters.
 ///
 /// `init` builds one scratch state per worker (called once per worker, on
 /// that worker's thread); `run` executes one task against the worker's
-/// state. With `workers <= 1` everything runs inline on the caller's
-/// thread — the degenerate deque with no thieves.
+/// state. With `workers <= 1` or at most one task everything runs inline on
+/// the caller's thread, in submission order — the degenerate deque with no
+/// thieves. Otherwise the pool is clamped to one worker per task, and the
+/// last worker runs on the caller's thread.
 ///
 /// Tasks must be pure functions of their payload for the output to be
 /// schedule-independent; the scheduler itself only decides *where* each
@@ -91,10 +115,8 @@ type Deque<T> = Mutex<VecDeque<(usize, T)>>;
 ///
 /// # Panics
 ///
-/// Propagates panics from `init` or `run` (the pool joins before
-/// returning), and panics if the internal result channel disconnects —
-/// both indicate a bug in the caller's task function, not a data
-/// condition.
+/// Propagates panics from `init` or `run` once every worker has joined —
+/// a bug in the caller's task function, not a data condition.
 pub fn run_stealing<T, S, R, I, F>(
     tasks: &[T],
     workers: usize,
@@ -127,57 +149,37 @@ where
     place(tasks, &deques, opts.placement);
     let steals = AtomicU64::new(0);
 
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
-
-    crossbeam::thread::scope(|scope| {
-        for w in 0..workers {
-            let deques = &deques;
-            let steals = &steals;
-            let init = &init;
-            let run = &run;
-            let tx = tx.clone();
-            scope.spawn(move |_| {
-                let mut state = init(w);
-                loop {
-                    // Own work first: LIFO from the back of our deque.
-                    let own = deques[w].lock().expect("deque poisoned").pop_back();
-                    let (idx, task, stolen) = match own {
-                        Some((idx, task)) => (idx, task, false),
-                        None => {
-                            // Dry: scan victims, stealing FIFO from the
-                            // front (the oldest, largest-remaining work).
-                            match steal_from(deques, w, opts.victim_order) {
-                                Some((idx, task)) => (idx, task, true),
-                                None => break,
-                            }
-                        }
-                    };
-                    if stolen {
+    let per_worker = par_map(vec![(); workers], |w, ()| {
+        let mut state = init(w);
+        let mut done = Vec::new();
+        loop {
+            // Own work first: LIFO from the back of our deque. When dry,
+            // scan victims, stealing FIFO from the front (the oldest,
+            // largest-remaining work).
+            let own = lock(&deques[w]).pop_back();
+            let (idx, task) = match own {
+                Some(next) => next,
+                None => match steal_from(&deques, w, opts.victim_order) {
+                    Some(next) => {
                         steals.fetch_add(1, Ordering::Relaxed);
+                        next
                     }
-                    let result = run(&mut state, task);
-                    tx.send((idx, result)).expect("result channel closed");
-                }
-            });
+                    None => break,
+                },
+            };
+            done.push((idx, run(&mut state, task)));
         }
-    })
-    .expect("stealing thread scope");
-    drop(tx);
+        done
+    });
 
-    for (idx, r) in rx {
-        results[idx] = Some(r);
-    }
-    let results = results
-        .into_iter()
-        .map(|r| r.expect("every task produces exactly one result"))
-        .collect();
+    // Every task index appears exactly once across the workers' lists.
+    let mut results: Vec<(usize, R)> = per_worker.into_iter().flatten().collect();
+    results.sort_unstable_by_key(|&(idx, _)| idx);
     (
-        results,
+        results.into_iter().map(|(_, r)| r).collect(),
         StealStats {
             executed,
-            steals: steals.load(Ordering::Relaxed),
+            steals: steals.into_inner(),
         },
     )
 }
@@ -188,10 +190,7 @@ fn place<'t, T>(tasks: &'t [T], deques: &[Deque<&'t T>], placement: Placement) {
     match placement {
         Placement::RoundRobin => {
             for (i, task) in tasks.iter().enumerate() {
-                deques[i % workers]
-                    .lock()
-                    .expect("deque poisoned")
-                    .push_back((i, task));
+                lock(&deques[i % workers]).push_back((i, task));
             }
         }
         Placement::Blocked => {
@@ -199,7 +198,7 @@ fn place<'t, T>(tasks: &'t [T], deques: &[Deque<&'t T>], placement: Placement) {
             for (w, deque) in deques.iter().enumerate() {
                 let lo = w * n / workers;
                 let hi = (w + 1) * n / workers;
-                let mut q = deque.lock().expect("deque poisoned");
+                let mut q = lock(deque);
                 for (i, task) in tasks.iter().enumerate().take(hi).skip(lo) {
                     q.push_back((i, task));
                 }
@@ -223,7 +222,7 @@ fn steal_from<'t, T>(
             VictimOrder::Ring => (w + step) % workers,
             VictimOrder::ReverseRing => (w + workers - step) % workers,
         };
-        let task = deques[v].lock().expect("deque poisoned").pop_front();
+        let task = lock(&deques[v]).pop_front();
         if task.is_some() {
             return task;
         }

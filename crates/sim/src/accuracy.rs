@@ -3,13 +3,14 @@
 //! The paper runs its modified network over the 50 000-image validation set
 //! and reports Top-5 accuracy (N = 2500 for the Fig. 9/10 sweeps). This
 //! harness does the same over the synthetic validation set, sharding images
-//! across threads; networks are not `Clone` (they hold RNG state), so each
-//! worker builds its own instrumented instance.
+//! across threads with [`redeye_tensor::par_map`]; networks are not
+//! `Clone` (they hold RNG state), so each worker builds its own
+//! instrumented instance.
 
 use crate::Result;
 use redeye_dataset::metrics::TopKAccuracy;
 use redeye_nn::Network;
-use redeye_tensor::Tensor;
+use redeye_tensor::{par_map, Tensor};
 
 /// Accuracy over a validation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,36 +27,23 @@ pub struct AccuracyReport {
 pub struct AccuracyHarness {
     examples: Vec<(Tensor, usize)>,
     threads: usize,
-    gemm_threads: usize,
 }
 
 impl AccuracyHarness {
     /// Creates a harness over pre-generated `(input, label)` pairs.
     ///
-    /// `threads` is the *frame-level* budget: the validation set is sharded
-    /// into that many worker threads, which is where the throughput win
-    /// lives for sweep workloads. Per-layer GEMM threading defaults to 1
-    /// (see [`AccuracyHarness::with_gemm_threads`]).
+    /// `threads` is the *frame-level* budget: the validation set is split
+    /// into that many contiguous shards, one worker thread each, which is
+    /// where the throughput win lives for sweep workloads. Each worker's
+    /// network keeps the GEMM thread budget it was built with (1 unless the
+    /// builder raises it).
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     pub fn new(examples: Vec<(Tensor, usize)>, threads: usize) -> Self {
         assert!(threads > 0, "need at least one worker thread");
-        AccuracyHarness {
-            examples,
-            threads,
-            gemm_threads: 1,
-        }
-    }
-
-    /// Sets the per-layer GEMM thread budget applied to every worker's
-    /// network. Frame-level sharding usually saturates the cores first;
-    /// raise this only when frames are scarce and layers are large.
-    #[must_use]
-    pub fn with_gemm_threads(mut self, gemm_threads: usize) -> Self {
-        self.gemm_threads = gemm_threads.max(1);
-        self
+        AccuracyHarness { examples, threads }
     }
 
     /// Number of validation examples.
@@ -70,53 +58,40 @@ impl AccuracyHarness {
 
     /// Evaluates Top-1/Top-5 accuracy of networks produced by `build`.
     ///
-    /// `build` is called once per worker thread; each instance sees a
-    /// disjoint shard of the validation set. Scores may be logits or
-    /// probabilities — only their ranking matters.
+    /// `build` is called once per shard, with the shard's index; each
+    /// instance sees a disjoint contiguous shard of the validation set. An
+    /// empty validation set builds nothing and reports 0 samples. Scores
+    /// may be logits or probabilities — only their ranking matters.
     ///
     /// # Errors
     ///
-    /// Propagates the first builder or inference error encountered.
+    /// Propagates the first (in shard order) builder or inference error.
     pub fn evaluate<F>(&self, build: F) -> Result<AccuracyReport>
     where
         F: Fn(usize) -> Result<Network> + Sync,
     {
         let threads = self.threads.min(self.examples.len()).max(1);
-        let shard_size = self.examples.len().div_ceil(threads);
-        let shards: Vec<&[(Tensor, usize)]> = self.examples.chunks(shard_size).collect();
-        let results = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .enumerate()
-                .map(|(worker, shard)| {
-                    let build = &build;
-                    scope.spawn(move |_| -> Result<(TopKAccuracy, TopKAccuracy)> {
-                        let mut net = build(worker)?;
-                        net.set_training(false);
-                        net.set_threads(self.gemm_threads);
-                        let mut top1 = TopKAccuracy::new(1);
-                        let mut top5 = TopKAccuracy::new(5);
-                        for (input, label) in shard.iter() {
-                            let scores = net.forward(input).map_err(crate::SimError::from)?;
-                            top1.observe(&scores, *label);
-                            top5.observe(&scores, *label);
-                        }
-                        Ok((top1, top5))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect::<Result<Vec<_>>>()
-        })
-        .expect("evaluation scope")?;
+        let shard_size = self.examples.len().div_ceil(threads).max(1);
+        let shards = self.examples.chunks(shard_size).collect();
+        let results = par_map(shards, |worker, shard: &[(Tensor, usize)]| -> Result<_> {
+            let mut net = build(worker)?;
+            net.set_training(false);
+            let mut top1 = TopKAccuracy::new(1);
+            let mut top5 = TopKAccuracy::new(5);
+            for (input, label) in shard {
+                let scores = net.forward(input).map_err(crate::SimError::from)?;
+                top1.observe(&scores, *label);
+                top5.observe(&scores, *label);
+            }
+            Ok((top1, top5))
+        });
 
         let mut top1 = TopKAccuracy::new(1);
         let mut top5 = TopKAccuracy::new(5);
-        for (t1, t5) in &results {
-            top1.merge(t1);
-            top5.merge(t5);
+        for result in results {
+            let (t1, t5) = result?;
+            top1.merge(&t1);
+            top5.merge(&t5);
         }
         Ok(AccuracyReport {
             top1: top1.accuracy(),
@@ -182,6 +157,15 @@ mod tests {
             let report = harness.evaluate(|_| Ok(identity_net())).unwrap();
             assert_eq!(report.samples, 50, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn empty_validation_set_reports_zero_samples() {
+        let harness = AccuracyHarness::new(Vec::new(), 4);
+        let report = harness.evaluate(|_| Ok(identity_net())).unwrap();
+        assert_eq!(report.samples, 0);
+        assert_eq!(report.top1, 0.0);
+        assert_eq!(report.top5, 0.0);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   contraction), so all three accumulate every output element in the
 //!   exact scalar `k`-order and are bit-identical (see [`crate::simd`]).
 //! - When a thread budget is given and the product is large enough to
-//!   amortize spawning, output row bands are computed in parallel with
-//!   scoped threads. Workers share the packed B panel read-only and each
+//!   amortize spawning, output row bands are computed in parallel through
+//!   [`crate::par_map`]. Workers share the packed B panel read-only and each
 //!   packs its own A blocks into a private region of the caller's
 //!   [`PackBuffers`], so the parallel path allocates nothing either.
 //!
@@ -51,6 +51,7 @@
 //! and frames, byte-identical to on-the-fly packing by layout construction.
 
 use crate::conv::ConvGeom;
+use crate::par::par_map;
 use crate::simd::SimdLevel;
 use crate::workspace::{PackBuffers, Workspace};
 use crate::{Tensor, TensorError};
@@ -217,7 +218,7 @@ fn pack_b_conv_panel(
 ///
 /// The layout is `KC`-block major: block `bi` holds all `⌈m/MR⌉` MR-row
 /// panels for inner columns `[bi·KC, bi·KC + kc)`, exactly the bytes
-/// [`pack_a_block`] would produce for those coordinates (rows past `m`
+/// `pack_a_block` would produce for those coordinates (rows past `m`
 /// zero-padded). Band/`MC` sub-blocking never changes panel contents —
 /// band boundaries are MR-aligned — so a GEMM reading these panels is
 /// bit-identical to one packing A on the fly.
@@ -568,7 +569,7 @@ fn compute_band(
 
 /// The shared blocked driver behind every public entry point: packs B
 /// panels (explicit matrix or implicit conv gather), then computes output
-/// row bands serially or across scoped worker threads.
+/// row bands through [`par_map`] — one band, run inline, when serial.
 #[allow(clippy::too_many_arguments)]
 fn gemm_driver(
     packs: &mut PackBuffers,
@@ -604,51 +605,35 @@ fn gemm_driver(
                 BSrc::Mat { b, trans } => pack_b_panel(b, trans, n, k, jc, nc, pc, kc, bpack),
                 BSrc::Conv { src, geom } => pack_b_conv_panel(src, geom, jc, nc, pc, kc, bpack),
             }
-            if threads == 1 {
-                let apack = ensure_len(&mut packs.a, MC * KC);
+            // One MR-aligned row band per worker; each worker packs A into
+            // its private region and owns its band of `out`, so the packed B
+            // panel is the only shared (read-only) state.
+            let band_rows = m.div_ceil(threads).div_ceil(MR) * MR;
+            let apack_all = ensure_len(&mut packs.a, threads * MC * KC);
+            let bpack: &[f32] = bpack;
+            let bands = out
+                .chunks_mut(band_rows * n)
+                .zip(apack_all.chunks_mut(MC * KC))
+                .collect();
+            par_map(bands, |t, (out_band, apack)| {
+                let band_m = out_band.len() / n;
                 compute_band(
-                    level, asrc, m, k, n, bpack, apack, out, 0, m, jc, nc, pc, kc,
+                    level,
+                    asrc,
+                    m,
+                    k,
+                    n,
+                    bpack,
+                    apack,
+                    out_band,
+                    t * band_rows,
+                    band_m,
+                    jc,
+                    nc,
+                    pc,
+                    kc,
                 );
-            } else {
-                // One MR-aligned row band per worker; each worker packs A
-                // into its private region and owns its band of `out`, so the
-                // packed B panel is the only shared (read-only) state.
-                let band_rows = m.div_ceil(threads).div_ceil(MR) * MR;
-                let apack_all = ensure_len(&mut packs.a, threads * MC * KC);
-                let bpack: &[f32] = bpack;
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = out
-                        .chunks_mut(band_rows * n)
-                        .zip(apack_all.chunks_mut(MC * KC))
-                        .enumerate()
-                        .map(|(t, (out_band, apack))| {
-                            scope.spawn(move |_| {
-                                let band_m = out_band.len() / n;
-                                compute_band(
-                                    level,
-                                    asrc,
-                                    m,
-                                    k,
-                                    n,
-                                    bpack,
-                                    apack,
-                                    out_band,
-                                    t * band_rows,
-                                    band_m,
-                                    jc,
-                                    nc,
-                                    pc,
-                                    kc,
-                                );
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        h.join().expect("gemm worker panicked");
-                    }
-                })
-                .expect("gemm thread scope");
-            }
+            });
             pc += kc;
         }
         jc += nc;

@@ -38,6 +38,7 @@ mod gemm_i8;
 mod linalg;
 mod noise_stream;
 mod ops;
+mod par;
 mod rng;
 mod shape;
 mod simd;
@@ -52,6 +53,7 @@ pub use gemm::{
 pub use gemm_i8::gemm_i8_into;
 pub use linalg::{matmul, matmul_naive, matmul_transpose_a, matmul_transpose_b};
 pub use noise_stream::{NoiseSource, NoiseStream, SiteRng};
+pub use par::par_map;
 pub use rng::Rng;
 pub use shape::Shape;
 pub use simd::SimdLevel;
