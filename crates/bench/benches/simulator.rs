@@ -5,13 +5,13 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use redeye_analog::{Comparator, DampingConfig, Mac, MacConfig, SarAdc, SnrDb, TunableCap};
 use redeye_core::{
     compile, estimate, BatchExecutor, CompileOptions, Depth, DeviceWork, Executor, FleetEngine,
-    FleetExecutor, FleetOptions, FrameEngine, NoiseMode, RedEyeConfig, WeightBank,
+    FleetExecutor, FleetOptions, FrameEngine, RedEyeConfig, WeightBank,
 };
 use redeye_nn::{build_network, summarize, zoo, WeightInit};
 use redeye_system::scenario;
 use redeye_tensor::{
-    conv_gemm_packed_into, gemm, gemm_i8_into, gemm_into, gemm_into_level, im2col_into,
-    matmul_naive, ConvGeom, PackBuffersI8, PackedWeights, Rng, SimdLevel, Tensor, Workspace,
+    conv_gemm_packed_into, gemm, gemm_into, gemm_into_level, im2col_into, matmul_naive, ConvGeom,
+    PackedWeights, Rng, SimdLevel, Tensor, Workspace,
 };
 
 /// Fig. 7 / Table I path: the analytic GoogLeNet estimator at all depths.
@@ -49,8 +49,8 @@ fn bench_executor(c: &mut Criterion) {
     });
 }
 
-/// The column-parallel analog pipeline: one executor frame per noise mode
-/// and analog thread budget (the BENCH_analog.json axes, criterion-sized).
+/// The column-parallel analog pipeline: one executor frame per analog
+/// thread budget (the BENCH_analog.json axes, criterion-sized).
 fn bench_analog_pipeline(c: &mut Criterion) {
     let spec = zoo::micronet(16, 10);
     let prefix = spec.prefix_through("pool3").unwrap();
@@ -59,16 +59,11 @@ fn bench_analog_pipeline(c: &mut Criterion) {
     let mut bank = WeightBank::from_network(&mut net);
     let program = compile(&prefix, &mut bank, &CompileOptions::default()).unwrap();
     let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
-    for (label, mode, threads) in [
-        ("scalar_1t", NoiseMode::Scalar, 1usize),
-        ("batched_1t", NoiseMode::Batched, 1),
-        ("batched_4t", NoiseMode::Batched, 4),
-    ] {
+    for (label, threads) in [("batched_1t", 1usize), ("batched_4t", 4)] {
         c.bench_function(&format!("executor/analog_pipeline/{label}"), |b| {
             b.iter_batched(
                 || {
                     let mut exec = Executor::new(program.clone(), 7);
-                    exec.set_noise_mode(mode);
                     exec.set_analog_threads(threads);
                     exec
                 },
@@ -234,31 +229,6 @@ fn bench_gemm(c: &mut Criterion) {
     }
 }
 
-/// The integer code-domain GEMM engine against the f32 engine at the
-/// Depth3 GoogLeNet conv shape (inception_3a 3×3 branch as lowered by
-/// im2col: m=192 filters, k=576 patch, n=3249 positions) — the workload
-/// behind the executor's `MacDomain::CodeI8` fast path.
-fn bench_gemm_i8(c: &mut Criterion) {
-    let (m, k, n) = (192usize, 576, 3249);
-    let mut rng = Rng::seed_from(3);
-    let a = Tensor::uniform(&[m, k], -1.0, 1.0, &mut rng);
-    let b = Tensor::uniform(&[k, n], -1.0, 1.0, &mut rng);
-    let ai: Vec<i8> = a.iter().map(|&v| (v * 127.0) as i8).collect();
-    let bi: Vec<i8> = b.iter().map(|&v| (v * 127.0) as i8).collect();
-    let mut ws = Workspace::new();
-    let mut packs = PackBuffersI8::new();
-    let mut acc = vec![0i32; m * n];
-    c.bench_function("gemm/i8_vs_f32/f32_depth3", |bch| {
-        bch.iter(|| gemm(&mut ws, false, false, &a, &b, 1).unwrap());
-    });
-    c.bench_function("gemm/i8_vs_f32/i8_depth3", |bch| {
-        bch.iter(|| {
-            gemm_i8_into(&mut packs, false, false, &ai, &bi, &mut acc, m, n, k, 1);
-            std::hint::black_box(&acc);
-        });
-    });
-}
-
 /// The implicit-GEMM conv path (pack-once weights, B-panels gathered
 /// straight from the C×H×W input) against the explicit im2col lowering at
 /// the Depth3 inception-3a 3×3 shape. Both produce bit-identical output;
@@ -370,7 +340,6 @@ criterion_group!(
     bench_circuits,
     bench_ablation,
     bench_gemm,
-    bench_gemm_i8,
     bench_conv_implicit,
     bench_gemm_simd,
     bench_depths

@@ -1,6 +1,6 @@
 //! Performance measurement of the simulation hot path.
 //!
-//! Three sections, each with its own JSON report:
+//! Four sections, each with its own JSON report:
 //!
 //! - **GEMM** (`BENCH_gemm.json`): the packed GEMM engine against the
 //!   retained naive reference at the paper-relevant square sizes, one
@@ -8,27 +8,23 @@
 //!   4 worker threads.
 //! - **Analog** (`BENCH_analog.json`): Gaussian noise kernels (scalar
 //!   Box–Muller vs batched polar) plus whole GoogLeNet frames at
-//!   Depth1/Depth3/Depth5 across analog thread budgets.
+//!   Depth1/Depth3/Depth5 across analog thread budgets 1/2/4.
 //! - **Throughput** (`BENCH_throughput.json`): sustained frames/sec over a
 //!   frame stream — the serial per-frame path against the batch executor
 //!   at worker counts 1/2/4, per depth.
-//! - **GEMM i8** (`BENCH_gemm_i8.json`, via `--gemm-i8`): the integer
-//!   code-domain GEMM engine against the f32 engine at the Depth3 conv
-//!   shape, single thread.
 //! - **Conv** (`BENCH_conv.json`, via `--conv`): the implicit-GEMM conv
 //!   path (pack-once weights, no im2col matrix) against the explicit
 //!   im2col lowering at per-layer shapes — each row carries the peak
 //!   workspace bytes its path staged — plus the f32 microkernel at every
 //!   compiled [`SimdLevel`] on a square GEMM.
 //!
-//! GEMM/analog/gemm-i8 rows are `{name, wall_ms, threads}`; throughput
+//! GEMM/analog rows are `{name, wall_ms, threads}`; throughput
 //! rows are `{name, frames, wall_ms, fps, workers}`.
 //!
 //! Usage: `cargo run --release -p redeye-bench --bin perf [-- FLAGS]`
 //!
 //! - `--analog-only`: run only the analog section.
 //! - `--throughput`: run only the throughput section.
-//! - `--gemm-i8`: run only the integer-GEMM section.
 //! - `--conv`: run only the convolution-path section.
 //! - `--smoke`: CI-sized run — Depth1 only, fewer reps, smaller kernels.
 //! - `--workers <n|auto>`: worker budget for the throughput sweep
@@ -40,13 +36,12 @@
 
 use redeye_bench::schema::{ConvRow, Row, ThroughputRow};
 use redeye_bench::workload::{self, DepthScenario};
-use redeye_core::{BatchExecutor, Depth, Executor, NoiseMode};
+use redeye_core::{BatchExecutor, Depth, Executor};
 use redeye_nn::{build_network, zoo, Network, NetworkSpec, WeightInit};
 use redeye_sim::{extract_params, instrument, AccuracyHarness, InstrumentOptions};
 use redeye_tensor::{
-    conv_gemm_packed_into, gemm, gemm_i8_into, gemm_into, gemm_into_level, im2col_into,
-    matmul_naive, par_map, ConvGeom, NoiseSource, NoiseStream, PackBuffersI8, PackedWeights, Rng,
-    SimdLevel, Tensor, Workspace,
+    conv_gemm_packed_into, gemm, gemm_into, gemm_into_level, im2col_into, matmul_naive, par_map,
+    ConvGeom, NoiseSource, NoiseStream, PackedWeights, Rng, SimdLevel, Tensor, Workspace,
 };
 use std::time::Instant;
 
@@ -107,53 +102,6 @@ fn bench_gemm(rows: &mut Vec<Row>, size: usize, threads: usize) {
         name: format!("gemm_{size}_packed"),
         wall_ms: packed_n_ms,
         threads,
-    });
-}
-
-/// The integer code-domain GEMM engine against the f32 engine at the
-/// Depth3 GoogLeNet conv shape (inception_3a 3×3 branch lowered by
-/// im2col: m=192 filters, k=576 patch, n=3249 positions), single thread —
-/// the acceptance workload for the executor's `MacDomain::CodeI8` path.
-fn bench_gemm_i8(rows: &mut Vec<Row>, smoke: bool) {
-    let (m, k, n) = (192usize, 576, 3249);
-    let mut rng = Rng::seed_from(3);
-    let a = Tensor::uniform(&[m, k], -1.0, 1.0, &mut rng);
-    let b = Tensor::uniform(&[k, n], -1.0, 1.0, &mut rng);
-    let ai: Vec<i8> = a.iter().map(|&v| (v * 127.0) as i8).collect();
-    let bi: Vec<i8> = b.iter().map(|&v| (v * 127.0) as i8).collect();
-    let mut ws = Workspace::new();
-    let mut packs = PackBuffersI8::new();
-    let mut acc = vec![0i32; m * n];
-    // Warm both engines to their pack high-water marks before timing.
-    gemm(&mut ws, false, false, &a, &b, 1).expect("gemm");
-    gemm_i8_into(&mut packs, false, false, &ai, &bi, &mut acc, m, n, k, 1);
-
-    let reps = if smoke { 3 } else { 7 };
-    let mut f32_ms = f64::INFINITY;
-    let mut i8_ms = f64::INFINITY;
-    for _ in 0..reps {
-        f32_ms = f32_ms.min(best_of(1, || {
-            gemm(&mut ws, false, false, &a, &b, 1).expect("gemm");
-        }));
-        i8_ms = i8_ms.min(best_of(1, || {
-            gemm_i8_into(&mut packs, false, false, &ai, &bi, &mut acc, m, n, k, 1);
-            std::hint::black_box(&acc);
-        }));
-    }
-
-    println!(
-        "gemm i8 depth3 ({m}x{k}x{n}): f32 {f32_ms:.2} ms | i8 {i8_ms:.2} ms ({:.2}x)",
-        f32_ms / i8_ms,
-    );
-    rows.push(Row {
-        name: "gemm_i8_depth3_f32".into(),
-        wall_ms: f32_ms,
-        threads: 1,
-    });
-    rows.push(Row {
-        name: "gemm_i8_depth3_i8".into(),
-        wall_ms: i8_ms,
-        threads: 1,
     });
 }
 
@@ -279,23 +227,16 @@ fn bench_noise_kernels(rows: &mut Vec<Row>, smoke: bool) {
     }
 }
 
-/// Times whole executor frames per depth: the scalar noise baseline against
-/// the batched path, then batched across analog thread budgets.
+/// Times whole executor frames per depth across analog thread budgets.
 fn bench_analog_frames(rows: &mut Vec<Row>, scenarios: &[DepthScenario], smoke: bool) {
     let reps = if smoke { 1 } else { 4 };
-    let variants = [
-        (NoiseMode::Scalar, 1usize),
-        (NoiseMode::Batched, 1),
-        (NoiseMode::Batched, 2),
-        (NoiseMode::Batched, 4),
-    ];
+    let variants = [1usize, 2, 4];
     for scenario in scenarios {
         let (program, input) = (&scenario.program, &scenario.input);
         let mut execs: Vec<Executor> = variants
             .iter()
-            .map(|&(mode, threads)| {
+            .map(|&threads| {
                 let mut exec = Executor::new(program.clone(), 29);
-                exec.set_noise_mode(mode);
                 exec.set_analog_threads(threads);
                 // Warm run: verifies the program and grows the conv workspace.
                 exec.execute(input).expect("frame");
@@ -304,7 +245,7 @@ fn bench_analog_frames(rows: &mut Vec<Row>, scenarios: &[DepthScenario], smoke: 
             .collect();
         // Interleave the variants within each rep (as bench_gemm does) so
         // host-load drift hits them equally and the ratios stay meaningful.
-        let mut best = [f64::INFINITY; 4];
+        let mut best = [f64::INFINITY; 3];
         for _ in 0..reps {
             for (slot, exec) in best.iter_mut().zip(&mut execs) {
                 let start = Instant::now();
@@ -312,20 +253,14 @@ fn bench_analog_frames(rows: &mut Vec<Row>, scenarios: &[DepthScenario], smoke: 
                 *slot = slot.min(start.elapsed().as_secs_f64() * 1e3);
             }
         }
-        let [scalar_1t, batched_1t, batched_2t, batched_4t] = best;
         let tag = scenario.tag();
         println!(
-            "{tag} frame: scalar(1t) {scalar_1t:.1} ms | batched(1t) {batched_1t:.1} ms ({:.2}x) | batched(2t) {batched_2t:.1} ms | batched(4t) {batched_4t:.1} ms",
-            scalar_1t / batched_1t,
+            "{tag} frame: 1t {:.1} ms | 2t {:.1} ms | 4t {:.1} ms",
+            best[0], best[1], best[2],
         );
-        for (suffix, wall_ms, threads) in [
-            ("scalar", scalar_1t, 1),
-            ("batched", batched_1t, 1),
-            ("batched", batched_2t, 2),
-            ("batched", batched_4t, 4),
-        ] {
+        for (&threads, wall_ms) in variants.iter().zip(best) {
             rows.push(Row {
-                name: format!("frame_{tag}_{suffix}"),
+                name: format!("frame_{tag}_batched"),
                 wall_ms,
                 threads,
             });
@@ -411,7 +346,7 @@ fn bench_throughput(
 fn bench_conv(rows: &mut Vec<ConvRow>, smoke: bool) {
     // (label, [in_c, in_h, in_w, kernel, stride, pad, out_c]): the
     // MicroNet stem and the Depth3 inception-3a 3x3 branch (m=192, k=576,
-    // n=3249), the acceptance shape the i8 section also uses.
+    // n=3249).
     let shapes: &[(&str, [usize; 7])] = &[
         ("micronet_stem", [3, 32, 32, 3, 1, 1, 16]),
         ("depth3_3x3", [64, 57, 57, 3, 1, 1, 192]),
@@ -564,7 +499,6 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let analog_only = args.iter().any(|a| a == "--analog-only");
     let throughput_only = args.iter().any(|a| a == "--throughput");
-    let gemm_i8_only = args.iter().any(|a| a == "--gemm-i8");
     let conv_only = args.iter().any(|a| a == "--conv");
     let max_workers = workload::parse_workers(&args);
 
@@ -574,15 +508,6 @@ fn main() {
         let json = serde_json::to_string_pretty(&rows).expect("serialize rows");
         std::fs::write("BENCH_conv.json", json).expect("write BENCH_conv.json");
         println!("wrote BENCH_conv.json ({} rows)", rows.len());
-        return;
-    }
-
-    if gemm_i8_only {
-        let mut rows: Vec<Row> = Vec::new();
-        bench_gemm_i8(&mut rows, smoke);
-        let json = serde_json::to_string_pretty(&rows).expect("serialize rows");
-        std::fs::write("BENCH_gemm_i8.json", json).expect("write BENCH_gemm_i8.json");
-        println!("wrote BENCH_gemm_i8.json ({} rows)", rows.len());
         return;
     }
 

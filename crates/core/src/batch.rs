@@ -9,7 +9,7 @@
 //! executor uses, against one immutable [`FrameEngine`]. Each worker
 //! borrows one of the executor's pre-allocated [`FrameCtx`]s, whose conv
 //! workspace survives from batch to batch (steady-state frames perform no
-//! im2col/packing allocations on any worker).
+//! GEMM packing allocations on any worker).
 //!
 //! # Determinism
 //!
@@ -116,8 +116,8 @@ impl BatchExecutor {
         Self::with_engine(FrameEngine::new(program, seed), workers)
     }
 
-    /// Creates a batch executor around a pre-configured engine (noise mode
-    /// and per-frame thread knobs are set on the engine before handoff).
+    /// Creates a batch executor around a pre-configured engine (per-frame
+    /// thread knobs are set on the engine before handoff).
     ///
     /// # Errors
     ///
@@ -220,7 +220,7 @@ impl BatchExecutor {
 mod tests {
     use super::*;
     use crate::compile::{compile, CompileOptions, WeightBank};
-    use crate::{Executor, Instruction, NoiseMode};
+    use crate::{Executor, Instruction};
     use redeye_analog::SnrDb;
     use redeye_nn::{build_network, zoo, WeightInit};
     use redeye_tensor::Rng;
@@ -329,21 +329,6 @@ mod tests {
             }
             assert_frames_eq(&want, &got, &format!("batch size {batch_size}"));
         }
-    }
-
-    #[test]
-    fn scalar_noise_mode_matches_serial_too() {
-        let program = micronet_program(30.0, 6);
-        let inputs = frame_stream(4, 5);
-        let mut serial = Executor::new(program.clone(), 11);
-        serial.set_noise_mode(NoiseMode::Scalar);
-        let want: Vec<ExecutionResult> =
-            inputs.iter().map(|i| serial.execute(i).unwrap()).collect();
-        let mut engine = FrameEngine::new(program, 11);
-        engine.set_noise_mode(NoiseMode::Scalar);
-        let mut batch = BatchExecutor::with_engine(engine, 3).unwrap();
-        let result = batch.execute_batch(&inputs).unwrap();
-        assert_frames_eq(&want, &result.frames, "scalar mode");
     }
 
     #[test]

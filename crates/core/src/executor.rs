@@ -46,9 +46,8 @@ use redeye_analog::calib::{
 };
 use redeye_analog::{Comparator, DampingConfig, SarAdc, Seconds, SnrDb};
 use redeye_tensor::{
-    conv_gemm_into, conv_gemm_packed_into, gemm_i8_into, gemm_into_level, im2col_into, par_map,
-    ConvGeom, NoiseSource, NoiseStream, PackBuffersI8, PackedWeights, PoolGeom, SimdLevel, Tensor,
-    Workspace,
+    conv_gemm_packed_into, par_map, ConvGeom, NoiseStream, PackedWeights, PoolGeom, SimdLevel,
+    Tensor, Workspace,
 };
 use std::sync::OnceLock;
 
@@ -72,9 +71,7 @@ pub struct ExecutionResult {
     /// in this frame (negative residues are clamped before conversion).
     /// Zero whenever the signal-range pass proved the program clean.
     pub rail_clips: u64,
-    /// Conv instructions whose noiseless MAC ran in the integer code
-    /// domain this frame (always 0 under [`MacDomain::F32`]; under
-    /// [`MacDomain::CodeI8`] the dynamic exactness checks decide).
+    /// Always 0, kept for the perfbench digest.
     pub code_mac_hits: u64,
 }
 
@@ -101,52 +98,8 @@ pub struct FrameOutput {
     /// Feature values that clipped at the SAR quantizer's 0 V lower rail
     /// in this frame.
     pub rail_clips: u64,
-    /// Conv instructions whose noiseless MAC ran in the integer code
-    /// domain this frame.
+    /// Always 0, kept for the perfbench digest.
     pub code_mac_hits: u64,
-}
-
-/// How the executor draws per-element Gaussian layer noise.
-///
-/// Both modes are deterministic per `(seed, site)` and bit-identical across
-/// thread counts; they differ in which deterministic value each site gets
-/// and in cost. [`NoiseMode::Batched`] amortizes one two-output Marsaglia
-/// polar evaluation (one `ln`/`sqrt`, no trigonometry) over each element
-/// *pair*; [`NoiseMode::Scalar`] spends a full Box–Muller transform per
-/// element and exists as the reference baseline for the perf reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NoiseMode {
-    /// One Box–Muller evaluation per element (reference baseline).
-    Scalar,
-    /// Pair-amortized batched sampling (default).
-    #[default]
-    Batched,
-}
-
-/// Which arithmetic domain the noiseless conv MAC runs in.
-///
-/// RedEye's weights are signed 8-bit DAC codes by construction, so the
-/// noiseless part of the MAC array is an *integer* product. Under
-/// [`MacDomain::CodeI8`] each conv's matrix product runs through the packed
-/// i8×i8→i32 engine ([`redeye_tensor::gemm_i8_into`]) whenever the
-/// instruction and the frame's activations are exactly representable in the
-/// code domain, converting back to the voltage domain only at the site
-/// where the layer's Gaussian noise is injected. The fast path is
-/// *dynamically verified* per instruction — power-of-two weight scale,
-/// codes within the DAC range, activations snapping losslessly onto an
-/// 8-bit power-of-two grid, and partial sums bounded under the f32
-/// mantissa — and falls back to the f32 engine otherwise, so the output is
-/// **always bit-identical** to [`MacDomain::F32`]; the two paths differ
-/// only in speed. [`FrameOutput::code_mac_hits`] reports how often the fast
-/// path engaged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MacDomain {
-    /// Reconstruct weights to `f32` and multiply in the voltage domain
-    /// (reference path, default).
-    #[default]
-    F32,
-    /// Integer code-domain fast path with per-instruction f32 fallback.
-    CodeI8,
 }
 
 /// Minimum number of analog sites in a stage before it shards across
@@ -169,11 +122,10 @@ const ANALOG_PARALLEL_MIN: usize = 4096;
 /// # Pack-once weight state
 ///
 /// Everything about a conv instruction's weights that does not depend on
-/// the frame — the reconstructed f32 weight matrix, the staged i8 DAC
-/// codes with their row-wise L1 bound for the [`MacDomain::CodeI8`] fast
-/// path, and the SAR ADC's bit-weight table — is computed **once** at
-/// engine construction and shared read-only by every frame, context, and
-/// worker thereafter. A fleet of simulated devices sharing one engine (see
+/// the frame — the DAC-applied weights pre-packed into GEMM panels, and the
+/// SAR ADC's bit-weight table — is computed **once** at engine
+/// construction and shared read-only by every frame, context, and worker
+/// thereafter. A fleet of simulated devices sharing one engine (see
 /// [`crate::FleetEngine`]) therefore packs weights exactly once, no matter
 /// how many devices run.
 #[derive(Debug)]
@@ -182,8 +134,10 @@ pub struct FrameEngine {
     /// Root counter-based stream; frame `f` executes under
     /// `stream.frame_substream(f)`.
     stream: NoiseStream,
-    /// Pack-once per-conv weight state, in DFS instruction order.
-    conv_packs: Vec<ConvPack>,
+    /// Pack-once per-conv weight panels, in DFS instruction order; `None`
+    /// for a conv whose weight dims are inconsistent (such a program fails
+    /// verification or the per-frame dim check before the pack is read).
+    conv_packs: Vec<Option<PackedWeights>>,
     /// Pack-once SAR ADC template (bit-weight table); `None` only when the
     /// program's resolution is invalid, in which case quantization fails
     /// with the constructor's error.
@@ -195,10 +149,6 @@ pub struct FrameEngine {
     /// Thread budget for the per-site analog stages (layer noise,
     /// comparator pooling, SAR readout).
     analog_threads: usize,
-    /// Gaussian sampling strategy for the layer-noise stage.
-    noise_mode: NoiseMode,
-    /// Arithmetic domain for the noiseless conv MAC.
-    mac_domain: MacDomain,
     /// f32 GEMM microkernel level. All levels are bit-identical (see
     /// [`SimdLevel`]); the knob exists for benchmarks and equivalence
     /// tests that pin a kernel without racing on `REDEYE_SIMD`.
@@ -227,8 +177,6 @@ impl FrameEngine {
             columns,
             gemm_threads: 1,
             analog_threads: 1,
-            noise_mode: NoiseMode::default(),
-            mac_domain: MacDomain::default(),
             simd: SimdLevel::auto(),
             budget: redeye_verify::CostBudget::default(),
             verified: OnceLock::new(),
@@ -259,28 +207,6 @@ impl FrameEngine {
     /// comparator max pooling, SAR readout) only.
     pub fn set_analog_threads(&mut self, threads: usize) {
         self.analog_threads = threads.max(1);
-    }
-
-    /// Selects the Gaussian sampling strategy for the layer-noise stage.
-    pub fn set_noise_mode(&mut self, mode: NoiseMode) {
-        self.noise_mode = mode;
-    }
-
-    /// The active Gaussian sampling strategy.
-    pub fn noise_mode(&self) -> NoiseMode {
-        self.noise_mode
-    }
-
-    /// Selects the arithmetic domain for the noiseless conv MAC. Both
-    /// domains produce bit-identical output; [`MacDomain::CodeI8`] is the
-    /// integer fast path with per-instruction dynamic fallback.
-    pub fn set_mac_domain(&mut self, domain: MacDomain) {
-        self.mac_domain = domain;
-    }
-
-    /// The active MAC arithmetic domain.
-    pub fn mac_domain(&self) -> MacDomain {
-        self.mac_domain
     }
 
     /// Pins the f32 GEMM microkernel level for this engine's conv MACs.
@@ -375,7 +301,6 @@ impl FrameEngine {
         }
         let mut pass = FramePass {
             ws: &mut ctx.ws,
-            code: &mut ctx.code,
             stream: root.frame_substream(frame),
             ordinal: 0,
             conv_ordinal: 0,
@@ -384,14 +309,11 @@ impl FrameEngine {
             columns: self.columns,
             gemm_threads: self.gemm_threads,
             analog_threads: self.analog_threads,
-            noise_mode: self.noise_mode,
             noise_scale,
-            mac_domain: self.mac_domain,
             simd: self.simd,
             ledger: EnergyLedger::new(),
             elapsed: Seconds::zero(),
             forced: 0,
-            code_mac_hits: 0,
         };
         // The input tensor is borrowed, not cloned: instruction outputs move
         // through `owned`, and the first instruction reads `input` directly.
@@ -406,7 +328,6 @@ impl FrameEngine {
             mut ledger,
             elapsed,
             forced,
-            code_mac_hits,
             ..
         } = pass;
         ledger.controller = crate::estimate::controller_power() * elapsed;
@@ -417,7 +338,7 @@ impl FrameEngine {
             elapsed,
             forced,
             rail_clips,
-            code_mac_hits,
+            code_mac_hits: 0,
         })
     }
 }
@@ -427,123 +348,24 @@ impl FrameEngine {
 /// forced-comparator tally.
 ///
 /// One context belongs to one worker: the batch executor pre-allocates one
-/// per worker so steady-state frames perform no im2col/packing
-/// allocations, exactly like the serial path.
+/// per worker so steady-state frames perform no GEMM packing allocations,
+/// exactly like the serial path.
 #[derive(Debug, Default)]
 pub struct FrameCtx {
-    /// Reusable `im2col`/GEMM scratch shared by every conv instruction;
+    /// Reusable GEMM packing scratch shared by every conv instruction;
     /// grows to the program's high-water mark on the first frame.
     ws: Workspace,
-    /// Reusable code-domain staging (i8 operands, i32 accumulator) for the
-    /// [`MacDomain::CodeI8`] fast path.
-    code: CodeScratch,
     /// The frame-substream label the next sequential frame executes under.
     next_frame: u64,
     /// Cumulative forced comparator decisions across this context's frames.
     forced_total: u64,
 }
 
-/// Reusable staging for the code-domain MAC fast path: the activations'
-/// snapped i8 codes and the i32 accumulator (the weights' i8 codes are
-/// packed once into the engine's [`ConvPack`]s). Like the [`Workspace`],
-/// buffers grow to the high-water mark and are then reused frame after
-/// frame.
-#[derive(Debug, Default)]
-struct CodeScratch {
-    cols: Vec<i8>,
-    acc: Vec<i32>,
-}
-
-/// Pack-once per-conv weight state, computed at [`FrameEngine`]
-/// construction and shared read-only by every frame and worker: the
-/// reconstructed f32 weight matrix, plus the staged i8 operand for the
-/// [`MacDomain::CodeI8`] fast path when the instruction's weight-side
-/// preconditions hold.
-#[derive(Debug, Clone)]
-struct ConvPack {
-    /// Reconstructed DAC-applied weights `code · scale`, row-major
-    /// `[out_c, patch]` — exactly the values the per-frame rebuild used to
-    /// produce, so the f32 path is bit-identical.
-    weights: Vec<f32>,
-    /// The same weights pre-packed into the GEMM engine's MR-panel layout,
-    /// shared read-only by every frame so the f32 implicit-GEMM path never
-    /// re-packs its A operand. `None` only when the instruction's weight
-    /// dims are inconsistent, which per-frame validation rejects before
-    /// the pack is consulted.
-    packed: Option<PackedWeights>,
-    /// The code-domain operand, present only when the weight scale is a
-    /// normal power of two and every code fits the signed 8-bit DAC range
-    /// (the [`code_domain_mac`] checks that depend on weights alone).
-    code: Option<CodePack>,
-}
-
-/// The staged integer operand of one conv's code-domain MAC.
-#[derive(Debug, Clone)]
-struct CodePack {
-    /// Weight codes staged as i8, row-major `[out_c, patch]`.
-    codes: Vec<i8>,
-    /// `max_row(Σ|c_w|)` for the partial-sum mantissa bound.
-    row_l1_max: i64,
-    /// Weight-scale exponent: `scale = 2^ew` exactly.
-    ew: i32,
-}
-
-impl ConvPack {
-    /// Packs one conv instruction's weights (both domains).
-    fn build(codes: &[i32], scale: f32, out_c: usize) -> ConvPack {
-        let weights: Vec<f32> = codes.iter().map(|&c| c as f32 * scale).collect();
-        let packed = if out_c > 0 && weights.len().is_multiple_of(out_c) {
-            Some(PackedWeights::pack(&weights, out_c, weights.len() / out_c))
-        } else {
-            None
-        };
-        ConvPack {
-            weights,
-            packed,
-            code: CodePack::build(codes, scale, out_c),
-        }
-    }
-}
-
-impl CodePack {
-    /// Stages the i8 operand when the weight-side [`code_domain_mac`]
-    /// preconditions hold: a normal power-of-two scale (check 1) and every
-    /// code within the signed 8-bit DAC range (check 2).
-    fn build(codes: &[i32], scale: f32, out_c: usize) -> Option<CodePack> {
-        if !scale.is_normal() || scale <= 0.0 || scale.to_bits() & 0x007f_ffff != 0 {
-            return None;
-        }
-        let ew = ((scale.to_bits() >> 23) & 0xff) as i32 - 127;
-        if out_c == 0 || !codes.len().is_multiple_of(out_c) {
-            return None;
-        }
-        let k = codes.len() / out_c;
-        let mut staged = Vec::with_capacity(codes.len());
-        let mut row_l1_max = 0i64;
-        for row in codes.chunks(k.max(1)) {
-            let mut l1 = 0i64;
-            for &c in row {
-                if !(-127..=127).contains(&c) {
-                    return None;
-                }
-                l1 += i64::from(c.unsigned_abs());
-                staged.push(c as i8);
-            }
-            row_l1_max = row_l1_max.max(l1);
-        }
-        Some(CodePack {
-            codes: staged,
-            row_l1_max,
-            ew,
-        })
-    }
-}
-
 /// Collects pack-once weight state for every conv instruction, recursing
 /// through inception branches in the same DFS pre-order
 /// [`FramePass::run_instruction`] visits them, so `conv_packs[i]` is the
 /// `i`-th conv a frame executes.
-fn collect_conv_packs(instructions: &[Instruction], packs: &mut Vec<ConvPack>) {
+fn collect_conv_packs(instructions: &[Instruction], packs: &mut Vec<Option<PackedWeights>>) {
     for inst in instructions {
         match inst {
             Instruction::Conv {
@@ -551,7 +373,7 @@ fn collect_conv_packs(instructions: &[Instruction], packs: &mut Vec<ConvPack>) {
                 codes,
                 scale,
                 ..
-            } => packs.push(ConvPack::build(codes, *scale, *out_c)),
+            } => packs.push(pack_conv_weights(codes, *scale, *out_c)),
             Instruction::Inception { branches, .. } => {
                 for branch in branches {
                     collect_conv_packs(branch, packs);
@@ -560,6 +382,17 @@ fn collect_conv_packs(instructions: &[Instruction], packs: &mut Vec<ConvPack>) {
             _ => {}
         }
     }
+}
+
+/// Reconstructs one conv's DAC-applied weights `code · scale`, row-major
+/// `[out_c, patch]`, and packs them into the GEMM engine's MR-panel layout;
+/// `None` when the code count is not a whole number of `out_c` rows.
+fn pack_conv_weights(codes: &[i32], scale: f32, out_c: usize) -> Option<PackedWeights> {
+    if out_c == 0 || !codes.len().is_multiple_of(out_c) {
+        return None;
+    }
+    let weights: Vec<f32> = codes.iter().map(|&c| c as f32 * scale).collect();
+    Some(PackedWeights::pack(&weights, out_c, codes.len() / out_c))
 }
 
 impl FrameCtx {
@@ -659,27 +492,6 @@ impl Executor {
         self.engine.set_analog_threads(threads);
     }
 
-    /// Selects the Gaussian sampling strategy for the layer-noise stage.
-    pub fn set_noise_mode(&mut self, mode: NoiseMode) {
-        self.engine.set_noise_mode(mode);
-    }
-
-    /// The active Gaussian sampling strategy.
-    pub fn noise_mode(&self) -> NoiseMode {
-        self.engine.noise_mode()
-    }
-
-    /// Selects the arithmetic domain for the noiseless conv MAC (see
-    /// [`MacDomain`]). Both domains produce bit-identical output.
-    pub fn set_mac_domain(&mut self, domain: MacDomain) {
-        self.engine.set_mac_domain(domain);
-    }
-
-    /// The active MAC arithmetic domain.
-    pub fn mac_domain(&self) -> MacDomain {
-        self.engine.mac_domain()
-    }
-
     /// Pins the f32 GEMM microkernel level (see
     /// [`FrameEngine::set_simd_level`]). Bit-identical across levels.
     pub fn set_simd_level(&mut self, level: SimdLevel) {
@@ -764,32 +576,27 @@ impl Executor {
 /// instruction is scheduled or sharded.
 struct FramePass<'a> {
     ws: &'a mut Workspace,
-    code: &'a mut CodeScratch,
     stream: NoiseStream,
     /// Next instruction ordinal (DFS order through inception branches).
     ordinal: u64,
     /// Next conv ordinal: index of the engine's pack-once weight state for
     /// the next conv instruction in DFS order.
     conv_ordinal: usize,
-    /// The engine's pack-once per-conv weight state.
-    conv_packs: &'a [ConvPack],
+    /// The engine's pack-once per-conv weight panels.
+    conv_packs: &'a [Option<PackedWeights>],
     /// The engine's pack-once SAR ADC template.
     sar: Option<&'a SarAdc>,
     columns: f64,
     gemm_threads: usize,
     analog_threads: usize,
-    noise_mode: NoiseMode,
     /// Device amplitude factor on every layer-noise σ (1.0 nominal).
     noise_scale: f32,
-    mac_domain: MacDomain,
     /// f32 microkernel level for the conv GEMM (bit-identical across
     /// levels; see [`SimdLevel`]).
     simd: SimdLevel,
     ledger: EnergyLedger,
     elapsed: Seconds,
     forced: u64,
-    /// Conv instructions the code-domain fast path handled this frame.
-    code_mac_hits: u64,
 }
 
 impl FramePass<'_> {
@@ -829,90 +636,35 @@ impl FramePass<'_> {
                         reason: format!("conv `{name}` weight dims inconsistent"),
                     });
                 }
-                // Pack-once weight state, keyed by conv ordinal in the same
-                // DFS order `collect_conv_packs` walked. The engine built
-                // the packs from this very program, so the lookup cannot
-                // miss; `get` keeps a corrupt index a reported error rather
-                // than a panic.
-                let conv_packs = self.conv_packs;
-                let pack =
-                    conv_packs
-                        .get(self.conv_ordinal)
-                        .ok_or_else(|| CoreError::BadProgram {
-                            reason: format!("conv `{name}` has no packed weights"),
-                        })?;
+                // Pack-once weight panels, keyed by conv ordinal in the
+                // same DFS order `collect_conv_packs` walked. The engine
+                // built them from this very program, verification rejects
+                // zero-channel convs (RE0102) and the dim check above
+                // passed, so the lookup cannot miss; a miss stays a
+                // reported error rather than a panic.
+                let packed = self
+                    .conv_packs
+                    .get(self.conv_ordinal)
+                    .and_then(Option::as_ref)
+                    .ok_or_else(|| CoreError::BadProgram {
+                        reason: format!("conv `{name}` has no packed weights"),
+                    })?;
                 self.conv_ordinal += 1;
                 let positions = geom.out_positions();
                 let mut out = vec![0.0f32; *out_c * positions];
                 // The ideal MAC array is a matrix product (each output is
-                // one damped node). Under CodeI8 the activations must be
-                // staged through im2col anyway — the snap gate inspects
-                // the lowered f32 matrix — so that domain keeps the
-                // explicit lowering, falling back to a cols-based GEMM
-                // when the dynamic exactness checks miss. The F32
-                // reference skips im2col entirely: the implicit-GEMM
-                // packer gathers B-panels straight from the C×H×W input
-                // and multiplies through the engine's pack-once weight
-                // panels, bit-identical to the explicit lowering.
-                if self.mac_domain == MacDomain::CodeI8 {
-                    let (cols, packs, packs_i8) = self.ws.split_im2col_all_packs();
-                    im2col_into(x, &geom, cols)?;
-                    let scratch = &mut *self.code;
-                    let code_hit = pack.code.as_ref().is_some_and(|pre| {
-                        code_domain_mac(
-                            scratch,
-                            packs_i8,
-                            pre,
-                            cols,
-                            &mut out,
-                            *out_c,
-                            positions,
-                            patch,
-                            self.gemm_threads,
-                        )
-                    });
-                    if code_hit {
-                        self.code_mac_hits += 1;
-                    } else {
-                        gemm_into_level(
-                            packs,
-                            self.simd,
-                            false,
-                            false,
-                            &pack.weights,
-                            cols,
-                            &mut out,
-                            *out_c,
-                            positions,
-                            patch,
-                            self.gemm_threads,
-                        );
-                    }
-                } else {
-                    match pack.packed.as_ref() {
-                        Some(pw) => conv_gemm_packed_into(
-                            self.ws.packs_mut(),
-                            self.simd,
-                            pw,
-                            x.as_slice(),
-                            &geom,
-                            &mut out,
-                            self.gemm_threads,
-                        ),
-                        // Unreachable for a program that passed the weight
-                        // dim check above; kept as a correct slow path.
-                        None => conv_gemm_into(
-                            self.ws.packs_mut(),
-                            self.simd,
-                            &pack.weights,
-                            x.as_slice(),
-                            &geom,
-                            &mut out,
-                            *out_c,
-                            self.gemm_threads,
-                        ),
-                    }
-                }
+                // one damped node). The implicit-GEMM packer gathers
+                // B-panels straight from the C×H×W input and multiplies
+                // through the engine's pack-once weight panels.
+                conv_gemm_packed_into(
+                    self.ws.packs_mut(),
+                    self.simd,
+                    packed,
+                    x.as_slice(),
+                    &geom,
+                    &mut out,
+                    self.gemm_threads,
+                );
                 for (oc, &b) in bias.iter().enumerate() {
                     for v in &mut out[oc * positions..(oc + 1) * positions] {
                         *v += b;
@@ -940,7 +692,7 @@ impl FramePass<'_> {
                     });
                 }
                 let geom = PoolGeom::new(dims[0], dims[1], dims[2], *window, *stride, *pad)?;
-                let out = self.comparator_maxpool(x, &geom);
+                let out = self.comparator_maxpool(x, &geom)?;
                 self.charge_writes(out.len() as u64, SnrDb::new(40.0));
                 Ok(out)
             }
@@ -958,7 +710,7 @@ impl FramePass<'_> {
                     });
                 }
                 let geom = PoolGeom::new(dims[0], dims[1], dims[2], *window, *stride, *pad)?;
-                let out = average_pool(x, &geom);
+                let out = average_pool(x, &geom)?;
                 let out = self.add_layer_noise(out, *snr);
                 let macs = out.len() as u64 * (*window * *window) as u64;
                 self.charge_macs(macs, *snr);
@@ -1009,20 +761,9 @@ impl FramePass<'_> {
         // amplitude factor on fleet devices.
         let sigma = self.noise_scale * (rms / snr.amplitude_ratio() as f32);
         let stream = self.next_stream();
-        match self.noise_mode {
-            NoiseMode::Batched => {
-                shard_mut(out.as_mut_slice(), self.analog_threads, 2, |first, band| {
-                    stream.add_scaled_normal(first as u64, sigma, band);
-                });
-            }
-            NoiseMode::Scalar => {
-                shard_mut(out.as_mut_slice(), self.analog_threads, 1, |first, band| {
-                    for (i, v) in band.iter_mut().enumerate() {
-                        *v += sigma * stream.at((first + i) as u64).standard_normal();
-                    }
-                });
-            }
-        }
+        shard_mut(out.as_mut_slice(), self.analog_threads, 2, |first, band| {
+            stream.add_scaled_normal(first as u64, sigma, band);
+        });
         out
     }
 
@@ -1046,7 +787,7 @@ impl FramePass<'_> {
     /// are summed in band order and energy is charged as a
     /// `count × per-decision` product, keeping the ledger independent of the
     /// thread count.
-    fn comparator_maxpool(&mut self, x: &Tensor, geom: &PoolGeom) -> Tensor {
+    fn comparator_maxpool(&mut self, x: &Tensor, geom: &PoolGeom) -> Result<Tensor> {
         let stream = self.next_stream();
         // Gain staging: map the plane's max magnitude to the rail swing.
         let max_abs = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
@@ -1110,7 +851,7 @@ impl FramePass<'_> {
         self.ledger.pooling += COMPARATOR_ENERGY * decisions as f64;
         self.ledger.comparisons += decisions;
         self.elapsed += COMPARATOR_DECISION_TIME * (decisions as f64 / self.columns);
-        Tensor::from_vec(out, &[geom.channels(), out_h, out_w]).expect("pool output volume")
+        Ok(Tensor::from_vec(out, &[geom.channels(), out_h, out_w])?)
     }
 
     /// The quantization module: normalizes features to the ADC full scale,
@@ -1175,126 +916,6 @@ impl FramePass<'_> {
     }
 }
 
-/// `2^e` as an exact f32 built from the exponent bits, or `None` outside
-/// the normal range `[-126, 127]`.
-fn pow2f(e: i32) -> Option<f32> {
-    if (-126..=127).contains(&e) {
-        Some(f32::from_bits(((e + 127) as u32) << 23))
-    } else {
-        None
-    }
-}
-
-/// The smallest exponent `ea` with `127·2^ea ≥ vmax` (clamped into the
-/// normal range from below), i.e. the tightest power-of-two activation
-/// step whose 8-bit code grid covers the plane. `vmax` must be finite and
-/// positive; the result then always lands in the normal range (at
-/// `e = 127` the coverage product overflows to `+inf`, which terminates
-/// the walk), so [`pow2f`] of it is always `Some`.
-fn code_step_exponent(vmax: f32) -> i32 {
-    let mut e = (((vmax.to_bits() >> 23) & 0xff) as i32 - 127 - 6).max(-126);
-    while e <= 127 && pow2f(e).is_some_and(|s| s * 127.0 < vmax) {
-        e += 1;
-    }
-    e
-}
-
-/// Attempts the integer code-domain MAC for one conv instruction, filling
-/// `out` and returning `true` only when the product is *provably
-/// bit-identical* to the f32 reference path:
-///
-/// 1. the weight scale is a normal power of two `2^ew`, so the
-///    reconstructed weights `c_w·2^ew` are exact f32 values;
-/// 2. every weight code is within the signed 8-bit DAC range (|c| ≤ 127);
-/// 3. every im2col activation snaps losslessly onto an 8-bit code grid at
-///    a power-of-two step `2^ea` (verified by exact reconstruction, which
-///    also rejects NaN/infinite activations and underflowed snaps);
-/// 4. the combined exponent `ew+ea` keeps every value normal with 2²⁴ of
-///    headroom below overflow; and
-/// 5. `max_row(Σ|c_w|)·max|c_x| < 2²⁴`, so every partial sum — in *any*
-///    accumulation order — is an integer multiple of `2^(ew+ea)` with a
-///    magnitude inside the f32 mantissa.
-///
-/// Checks 1–2 depend on the instruction's weights alone, so
-/// [`CodePack::build`] decides them once at engine construction — a conv
-/// reaches this function only with its weight-side operand (`pre`) already
-/// staged. Checks 3–5 depend on the frame's activations and run here.
-///
-/// Under those conditions the f32 engine's blocked float accumulation
-/// commits no rounding at all, `i32` accumulation trivially commits none,
-/// and converting the integer result back through `(s as f32)·2^(ew+ea)`
-/// reproduces the f32 path's output bit for bit. Any failed check falls
-/// back (`false`, `out` untouched) — so `CodeI8` never changes results,
-/// only speed.
-#[allow(clippy::too_many_arguments)]
-fn code_domain_mac(
-    scratch: &mut CodeScratch,
-    packs: &mut PackBuffersI8,
-    pre: &CodePack,
-    cols: &[f32],
-    out: &mut [f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    threads: usize,
-) -> bool {
-    let (ew, row_l1_max) = (pre.ew, pre.row_l1_max);
-    // (3) Tightest power-of-two activation step; verify every activation
-    // reconstructs exactly from its snapped 8-bit code.
-    let vmax = cols.iter().fold(0.0f32, |acc, &v| acc.max(v.abs()));
-    if !vmax.is_finite() {
-        return false;
-    }
-    let ea = if vmax == 0.0 {
-        0
-    } else {
-        code_step_exponent(vmax)
-    };
-    let (Some(step), Some(inv_step)) = (pow2f(ea), pow2f(-ea)) else {
-        return false;
-    };
-    scratch.cols.clear();
-    scratch.cols.reserve(cols.len());
-    let mut cx_max = 0i64;
-    for &v in cols {
-        let c = v * inv_step;
-        let ci = c as i32; // saturating cast; NaN → 0
-        if !(-127..=127).contains(&ci) || ci as f32 * step != v {
-            return false;
-        }
-        cx_max = cx_max.max(i64::from(ci.unsigned_abs()));
-        scratch.cols.push(ci as i8);
-    }
-    // (4) Combined scale normal, with integer sums < 2²⁴ kept finite.
-    let e = ew + ea;
-    let Some(back) = pow2f(e) else { return false };
-    if e > 101 {
-        return false;
-    }
-    // (5) Partial sums bounded under the f32 mantissa.
-    if row_l1_max.saturating_mul(cx_max) >= 1 << 24 {
-        return false;
-    }
-    scratch.acc.clear();
-    scratch.acc.resize(out.len(), 0);
-    gemm_i8_into(
-        packs,
-        false,
-        false,
-        &pre.codes,
-        &scratch.cols,
-        &mut scratch.acc,
-        m,
-        n,
-        k,
-        threads,
-    );
-    for (o, &s) in out.iter_mut().zip(scratch.acc.iter()) {
-        *o = s as f32 * back;
-    }
-    true
-}
-
 /// The band length a stage of `sites` elements splits into under a
 /// `threads` budget: one band below [`ANALOG_PARALLEL_MIN`] sites,
 /// otherwise one per thread (never more than one per site), rounded up to
@@ -1342,7 +963,7 @@ fn clip_and_rectify(mut out: Tensor, relu: bool) -> Tensor {
     out
 }
 
-fn average_pool(x: &Tensor, geom: &PoolGeom) -> Tensor {
+fn average_pool(x: &Tensor, geom: &PoolGeom) -> Result<Tensor> {
     let (in_h, in_w) = (geom.in_h(), geom.in_w());
     let src = x.as_slice();
     let mut out = Vec::with_capacity(geom.out_len());
@@ -1366,8 +987,10 @@ fn average_pool(x: &Tensor, geom: &PoolGeom) -> Tensor {
             }
         }
     }
-    Tensor::from_vec(out, &[geom.channels(), geom.out_h(), geom.out_w()])
-        .expect("pool output volume")
+    Ok(Tensor::from_vec(
+        out,
+        &[geom.channels(), geom.out_h(), geom.out_w()],
+    )?)
 }
 
 fn lrn(x: &Tensor, size: usize, alpha: f32, beta: f32, k: f32) -> Result<Tensor> {
@@ -1564,51 +1187,31 @@ mod tests {
         };
         let program = compile(&prefix, &mut bank, &opts).unwrap();
         let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
-        for mode in [NoiseMode::Batched, NoiseMode::Scalar] {
-            let mut reference: Option<ExecutionResult> = None;
-            for threads in [1usize, 2, 4] {
-                let mut exec = Executor::new(program.clone(), 77);
-                exec.set_analog_threads(threads);
-                exec.set_noise_mode(mode);
-                let got = exec.execute(&input).unwrap();
-                if let Some(want) = &reference {
-                    assert_eq!(want.features, got.features, "{mode:?} @ {threads} threads");
-                    assert_eq!(want.codes, got.codes, "{mode:?} @ {threads} threads");
-                    assert!(
-                        want.ledger == got.ledger,
-                        "{mode:?} @ {threads} threads: ledger diverged"
-                    );
-                    assert_eq!(
-                        want.elapsed.value(),
-                        got.elapsed.value(),
-                        "{mode:?} @ {threads} threads"
-                    );
-                    assert_eq!(
-                        want.forced_decisions, got.forced_decisions,
-                        "{mode:?} @ {threads} threads"
-                    );
-                } else {
-                    reference = Some(got);
-                }
+        let mut reference: Option<ExecutionResult> = None;
+        for threads in [1usize, 2, 4] {
+            let mut exec = Executor::new(program.clone(), 77);
+            exec.set_analog_threads(threads);
+            let got = exec.execute(&input).unwrap();
+            if let Some(want) = &reference {
+                assert_eq!(want.features, got.features, "{threads} threads");
+                assert_eq!(want.codes, got.codes, "{threads} threads");
+                assert!(
+                    want.ledger == got.ledger,
+                    "{threads} threads: ledger diverged"
+                );
+                assert_eq!(
+                    want.elapsed.value(),
+                    got.elapsed.value(),
+                    "{threads} threads"
+                );
+                assert_eq!(
+                    want.forced_decisions, got.forced_decisions,
+                    "{threads} threads"
+                );
+            } else {
+                reference = Some(got);
             }
         }
-    }
-
-    #[test]
-    fn noise_modes_are_distinct_but_comparable() {
-        // The two sampling strategies assign different (deterministic)
-        // values per site, so features differ bit-wise — but both realize
-        // the same noise distribution, so the deterministic ledger agrees.
-        let (program, _) = micronet_program(30.0, 10);
-        let input = Tensor::full(&[3, 32, 32], 0.5);
-        let mut scalar_exec = Executor::new(program.clone(), 42);
-        scalar_exec.set_noise_mode(NoiseMode::Scalar);
-        let scalar = scalar_exec.execute(&input).unwrap();
-        let mut batched_exec = Executor::new(program, 42);
-        batched_exec.set_noise_mode(NoiseMode::Batched);
-        let batched = batched_exec.execute(&input).unwrap();
-        assert_ne!(scalar.features, batched.features);
-        assert!(scalar.ledger == batched.ledger);
     }
 
     #[test]
@@ -1743,89 +1346,6 @@ mod tests {
         assert!(result.ledger.analog_total().value() > 0.0);
     }
 
-    /// Compiles the micronet prefix for the integer code-domain MAC
-    /// (power-of-two kernel scales).
-    fn code_domain_program(snr_db: f64, adc_bits: u32) -> Program {
-        let spec = zoo::micronet(8, 10);
-        let prefix = spec.prefix_through("pool3").unwrap();
-        let mut rng = Rng::seed_from(17);
-        let mut net = build_network(&prefix, WeightInit::HeNormal, &mut rng).unwrap();
-        let mut bank = WeightBank::from_network(&mut net);
-        let opts = CompileOptions {
-            weight_bits: 8,
-            snr: SnrDb::new(snr_db),
-            adc_bits,
-            mac_domain: MacDomain::CodeI8,
-            ..CompileOptions::default()
-        };
-        compile(&prefix, &mut bank, &opts).unwrap()
-    }
-
-    /// A sensor frame whose every pixel sits exactly on the 8-bit
-    /// power-of-two code grid `k/128` — the raw-ADC-output case the
-    /// code-domain fast path is designed for.
-    fn grid_snapped_input() -> Tensor {
-        let data: Vec<f32> = (0..3 * 32 * 32).map(|i| (i % 128) as f32 / 128.0).collect();
-        Tensor::from_vec(data, &[3, 32, 32]).unwrap()
-    }
-
-    #[test]
-    fn code_domain_fast_path_engages_and_is_bit_identical() {
-        let program = code_domain_program(40.0, 8);
-        let input = grid_snapped_input();
-
-        let mut reference = Executor::new(program.clone(), 5);
-        let want = reference.execute(&input).unwrap();
-        assert_eq!(reference.mac_domain(), MacDomain::F32);
-        assert_eq!(want.code_mac_hits, 0, "F32 path never counts code hits");
-
-        let mut fast = Executor::new(program, 5);
-        fast.set_mac_domain(MacDomain::CodeI8);
-        let got = fast.execute(&input).unwrap();
-        // conv1 sees the snapped sensor plane and must take the integer
-        // path; deeper convs see noisy activations and may fall back.
-        assert!(got.code_mac_hits >= 1, "fast path never engaged");
-        assert_eq!(want.features, got.features, "features drifted");
-        assert_eq!(want.codes, got.codes, "ADC codes drifted");
-        assert!(want.ledger == got.ledger, "energy accounting drifted");
-        assert_eq!(want.elapsed.value(), got.elapsed.value());
-    }
-
-    #[test]
-    fn code_domain_falls_back_on_unsnappable_activations() {
-        // Arbitrary floats do not reconstruct exactly from any 8-bit
-        // power-of-two grid, so every conv must take the f32 path — and the
-        // result must still be bit-identical to a plain F32 run.
-        let program = code_domain_program(40.0, 8);
-        let mut rng = Rng::seed_from(6);
-        let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
-        let want = Executor::new(program.clone(), 5).execute(&input).unwrap();
-        let mut fast = Executor::new(program, 5);
-        fast.set_mac_domain(MacDomain::CodeI8);
-        let got = fast.execute(&input).unwrap();
-        assert_eq!(
-            got.code_mac_hits, 0,
-            "unsnappable input engaged the fast path"
-        );
-        assert_eq!(want.features, got.features);
-        assert_eq!(want.codes, got.codes);
-    }
-
-    #[test]
-    fn code_domain_fast_path_declines_non_pow2_scales() {
-        // A program compiled for the default F32 domain carries range-tight
-        // (generally non-power-of-two) kernel scales; forcing CodeI8 on the
-        // executor must dynamically fall back, never alter results.
-        let (program, _) = micronet_program(40.0, 8);
-        let input = grid_snapped_input();
-        let want = Executor::new(program.clone(), 5).execute(&input).unwrap();
-        let mut fast = Executor::new(program, 5);
-        fast.set_mac_domain(MacDomain::CodeI8);
-        let got = fast.execute(&input).unwrap();
-        assert_eq!(want.features, got.features);
-        assert_eq!(want.codes, got.codes);
-    }
-
     #[test]
     fn quantize_survives_degenerate_subnormal_frames() {
         // An all-subnormal feature plane used to pass the `vmax > 0` gain
@@ -1860,24 +1380,5 @@ mod tests {
             result.features.iter().all(|v| v.abs() < 0.05),
             "degenerate frame produced full-scale features"
         );
-    }
-
-    #[test]
-    fn code_step_exponent_covers_the_plane_tightly() {
-        for vmax in [0.25f32, 0.5, 0.9921875, 1.0, 3.7, 127.0, 1.0e-30] {
-            let e = code_step_exponent(vmax);
-            let step = pow2f(e).unwrap();
-            assert!(step * 127.0 >= vmax, "step 2^{e} too small for {vmax}");
-            if let Some(half) = pow2f(e - 1) {
-                if e > -126 {
-                    assert!(half * 127.0 < vmax, "step 2^{e} not tight for {vmax}");
-                }
-            }
-        }
-        // Even the largest finite plane stays inside the normal exponent
-        // range (the e = 127 coverage product overflows to +inf and ends
-        // the walk), so the downstream pow2f gate always has a step.
-        let e = code_step_exponent(f32::MAX);
-        assert!(pow2f(e).is_some(), "f32::MAX walked out of range: {e}");
     }
 }

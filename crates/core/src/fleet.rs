@@ -3,8 +3,8 @@
 //!
 //! The paper's deployment story is a *population* of sensors feeding a
 //! cloudlet, not one camera. Simulating that population naively builds one
-//! engine per device — re-cloning the program, re-packing the f32/i8
-//! weight buffers, re-deriving the SAR bit-weight table, and re-running
+//! engine per device — re-cloning the program, re-packing the weight
+//! panels, re-deriving the SAR bit-weight table, and re-running
 //! static verification a thousand times over, even though devices differ
 //! only in fabrication corner, calibration trim, and noise seed. This
 //! module splits those concerns the same way [`FrameEngine`]/[`FrameCtx`]
@@ -138,7 +138,7 @@ impl DeviceProfile {
 }
 
 /// The shared, immutable, pack-once engine of an entire fleet: one
-/// compiled program, one set of packed f32/i8 weight buffers, one SAR
+/// compiled program, one set of packed weight panels, one SAR
 /// bit-weight table, one *verified* status — reference-counted across all
 /// workers. Per-device state lives in [`DeviceProfile`] (a few dozen
 /// bytes); building a [`DeviceCtx`] allocates nothing program-sized.
@@ -161,8 +161,8 @@ impl FleetEngine {
         FleetEngine::from_engine(FrameEngine::new(program, fleet_seed), fleet_seed)
     }
 
-    /// Wraps a pre-configured [`FrameEngine`] (custom thread budgets,
-    /// noise mode, MAC domain, cost budget) as the fleet's shared engine.
+    /// Wraps a pre-configured [`FrameEngine`] (custom thread budgets, SIMD
+    /// level, cost budget) as the fleet's shared engine.
     ///
     /// # Errors
     ///
@@ -218,9 +218,9 @@ pub struct DeviceCtx {
     root: NoiseStream,
 }
 
-/// Reusable per-worker scratch for fleet execution: one [`FrameCtx`]
-/// (im2col/GEMM workspace, code-domain staging) plus the calibrated-input
-/// staging tensor. One scratch serves any number of devices sequentially.
+/// Reusable per-worker scratch for fleet execution: one [`FrameCtx`] (GEMM
+/// packing workspace) plus the calibrated-input staging tensor. One scratch
+/// serves any number of devices sequentially.
 #[derive(Debug, Default)]
 pub struct DeviceScratch {
     ctx: FrameCtx,
@@ -390,7 +390,7 @@ pub struct FrameStat {
     pub forced: u64,
     /// Lower-rail clips this frame.
     pub rail_clips: u64,
-    /// Convs the code-domain fast path handled this frame.
+    /// Always 0, kept for the perfbench digest.
     pub code_mac_hits: u64,
     /// FNV-64 digest of the frame's features/codes.
     pub digest: u64,

@@ -77,9 +77,7 @@ pub use compile::{compile, CompileOptions, VerifyPolicy, WeightBank};
 pub use energy::EnergyLedger;
 pub use error::CoreError;
 pub use estimate::{EnergyBreakdown, Estimate, NoisePlan, RedEyeConfig, TimingBreakdown};
-pub use executor::{
-    ExecutionResult, Executor, FrameCtx, FrameEngine, FrameOutput, MacDomain, NoiseMode,
-};
+pub use executor::{ExecutionResult, Executor, FrameCtx, FrameEngine, FrameOutput};
 pub use fleet::{
     frame_digest, DeviceCalib, DeviceCtx, DeviceFrame, DeviceOutcome, DeviceProfile, DeviceScratch,
     DeviceWork, FleetEngine, FleetExecutor, FleetOptions, FleetReport, FrameStat,

@@ -1,7 +1,7 @@
 //! End-to-end SIMD-level invariance: the observable output of a frame —
 //! features, ADC codes, diagnostics — is byte-identical no matter which
 //! f32 microkernel level the engine runs, across the serial executor, the
-//! batched worker pool, and the fleet engine, in both MAC domains.
+//! batched worker pool, and the fleet engine.
 //!
 //! This is the executable form of the dispatch contract: picking a
 //! [`SimdLevel`] is purely a performance decision, never a numerics one.
@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use redeye_core::{
     compile, BatchExecutor, CompileOptions, DeviceWork, ExecutionResult, Executor, FleetEngine,
-    FleetExecutor, FleetOptions, FrameEngine, MacDomain, SimdLevel, WeightBank,
+    FleetExecutor, FleetOptions, FrameEngine, SimdLevel, WeightBank,
 };
 use redeye_nn::{build_network, zoo, WeightInit};
 use redeye_tensor::{Rng, Tensor};
@@ -49,18 +49,16 @@ fn digest_of(r: &ExecutionResult) -> u64 {
     h
 }
 
-/// Per-frame digests of a sequential run at one (level, domain, threads).
+/// Per-frame digests of a sequential run at one (level, threads).
 fn serial_digests(
     prog: &redeye_core::Program,
     seed: u64,
     level: SimdLevel,
-    domain: MacDomain,
     threads: usize,
     inputs: &[Tensor],
 ) -> Vec<u64> {
     let mut exec = Executor::new(prog.clone(), seed);
     exec.set_simd_level(level);
-    exec.set_mac_domain(domain);
     exec.set_gemm_threads(threads);
     inputs
         .iter()
@@ -69,8 +67,8 @@ fn serial_digests(
 }
 
 proptest! {
-    /// Serial executor: every compiled microkernel level, both MAC
-    /// domains, and thread budgets 1/3 produce byte-identical frames.
+    /// Serial executor: every compiled microkernel level and thread
+    /// budgets 1/3 produce byte-identical frames.
     #[test]
     fn serial_frames_invariant_across_simd_levels(
         weight_seed in 0u64..1_000,
@@ -78,20 +76,14 @@ proptest! {
     ) {
         let prog = program(weight_seed);
         let inputs = frames(2, weight_seed ^ noise_seed ^ 0xABCD);
-        for domain in [MacDomain::F32, MacDomain::CodeI8] {
-            let reference = serial_digests(
-                &prog, noise_seed, SimdLevel::Portable, domain, 1, &inputs,
-            );
-            for level in SimdLevel::available_levels() {
-                for threads in [1usize, 3] {
-                    let got = serial_digests(
-                        &prog, noise_seed, level, domain, threads, &inputs,
-                    );
-                    prop_assert_eq!(
-                        &got, &reference,
-                        "{:?} diverged at {} with {} threads", domain, level, threads
-                    );
-                }
+        let reference = serial_digests(&prog, noise_seed, SimdLevel::Portable, 1, &inputs);
+        for level in SimdLevel::available_levels() {
+            for threads in [1usize, 3] {
+                let got = serial_digests(&prog, noise_seed, level, threads, &inputs);
+                prop_assert_eq!(
+                    &got, &reference,
+                    "diverged at {} with {} threads", level, threads
+                );
             }
         }
     }
@@ -105,9 +97,7 @@ proptest! {
     ) {
         let prog = program(weight_seed);
         let inputs = frames(3, weight_seed ^ noise_seed ^ 0xF00D);
-        let serial = serial_digests(
-            &prog, noise_seed, SimdLevel::Portable, MacDomain::F32, 1, &inputs,
-        );
+        let serial = serial_digests(&prog, noise_seed, SimdLevel::Portable, 1, &inputs);
         for level in SimdLevel::available_levels() {
             let mut engine = FrameEngine::new(prog.clone(), noise_seed);
             engine.set_simd_level(level);

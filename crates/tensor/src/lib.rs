@@ -24,17 +24,16 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the AVX-512 VNNI microkernel in `gemm_i8`
-// carries the crate's single, narrowly-scoped `#[allow(unsafe_code)]` at its
-// cfg-guarded dispatch call, where the target features are statically
-// guaranteed by the build configuration.
+// `deny` rather than `forbid`: the two explicit f32 microkernel dispatches
+// in `gemm` (AVX2 and AVX-512) each carry a narrowly-scoped
+// `#[allow(unsafe_code)]` at a cfg-guarded call site, where the target
+// features are statically guaranteed by the build configuration.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod conv;
 mod error;
 mod gemm;
-mod gemm_i8;
 mod linalg;
 mod noise_stream;
 mod ops;
@@ -50,7 +49,6 @@ pub use error::TensorError;
 pub use gemm::{
     conv_gemm_into, conv_gemm_packed_into, gemm, gemm_into, gemm_into_level, PackedWeights,
 };
-pub use gemm_i8::gemm_i8_into;
 pub use linalg::{matmul, matmul_naive, matmul_transpose_a, matmul_transpose_b};
 pub use noise_stream::{NoiseSource, NoiseStream, SiteRng};
 pub use par::par_map;
@@ -58,7 +56,7 @@ pub use rng::Rng;
 pub use shape::Shape;
 pub use simd::SimdLevel;
 pub use tensor::Tensor;
-pub use workspace::{PackBuffers, PackBuffersI8, Workspace, WorkspaceStats};
+pub use workspace::{PackBuffers, Workspace, WorkspaceStats};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -230,6 +230,8 @@ impl<'p> ForwardAnalysis<'p> for ShapeAnalysis<'p> {
                 }
             }
             if ok {
+                // One exit per branch and `branches` is non-empty, so `ok`
+                // (every exit `Some`) means the first exit set `out_hw`.
                 let (fh, fw) = out_hw.expect("non-empty branches");
                 Some([out_c, fh, fw])
             } else {
