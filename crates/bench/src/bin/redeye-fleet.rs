@@ -1,20 +1,13 @@
-//! Fleet-scale benchmark: a population of RedEye sensors through the
-//! shared pack-once engine, with the cloudlet's queueing view on top.
+//! Fleet-scale experiment (§V-B): a population of RedEye sensors through
+//! the shared pack-once [`FleetEngine`], with the cloudlet's queueing view
+//! on top. Two printed sections:
 //!
-//! Three sections, all written to `BENCH_fleet.json` as
-//! [`redeye_bench::schema::FleetRow`]s:
-//!
-//! - **Setup** (`fleet_setup_naive_64` / `fleet_setup_shared_64`): the cost
-//!   of instantiating 64 devices as 64 independent engines (compile-state
-//!   packing and verification ×64) versus one [`FleetEngine`] plus 64
-//!   lightweight device views — the pack-once payoff, single-threaded.
-//! - **Determinism** (`fleet_determinism_w{1,2,4}`): the same fleet at
-//!   three worker counts; the binary *asserts* the output digests match
-//!   bit-for-bit and records them so CI artifacts show the proof.
-//! - **Sweep** (`fleet_<tag>_<n>`): population energy, cloudlet tail
-//!   latency (p50/p95/p99) and saturation versus fleet size. Devices mix
-//!   continuous / low-light / privacy capture workloads; the cloudlet is a
-//!   BLE-fed FIFO queue over the measured Jetson GPU suffix time.
+//! - **Determinism**: the same fleet at 1, 2 and 4 workers; the binary
+//!   *asserts* the output digests match bit-for-bit and prints them.
+//! - **Sweep**: population energy, cloudlet tail latency (p50/p95/p99) and
+//!   saturation versus fleet size. Devices mix continuous / low-light /
+//!   privacy capture workloads; the cloudlet is a BLE-fed FIFO queue over
+//!   the measured Jetson GPU suffix time.
 //!
 //! Usage: `cargo run --release -p redeye-bench --bin redeye-fleet [-- FLAGS]`
 //!
@@ -23,9 +16,8 @@
 //! - `--workers <n|auto>`: worker threads for the sweep (default `auto`).
 
 use redeye_analog::Seconds;
-use redeye_bench::schema::FleetRow;
 use redeye_bench::workload::{self, FleetScenario};
-use redeye_core::{FleetEngine, FleetExecutor, FleetOptions, FleetReport, FrameEngine};
+use redeye_core::{FleetEngine, FleetExecutor, FleetOptions, FleetReport};
 use redeye_sim::{fleet_workload, WorkloadOptions};
 use redeye_system::{BleLink, Cloudlet, JetsonHost, JetsonKind};
 use std::time::Instant;
@@ -38,61 +30,6 @@ const FLEET_SEED: u64 = 0xF1EE7;
 /// `d` of `n` starts its capture at phase `d/n` of a period, so arrivals
 /// spread over one frame time instead of landing in a single burst.
 const FRAME_PERIOD_S: f64 = 1.0 / 30.0;
-
-fn wall_ms(f: impl FnOnce()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-/// A `FleetRow` for a section that measures engine mechanics, not a
-/// population run.
-fn setup_row(name: &str, fleet: usize, wall_ms: f64) -> FleetRow {
-    FleetRow {
-        name: name.into(),
-        fleet,
-        workers: 1,
-        frames: 0,
-        wall_ms,
-        energy_mj: 0.0,
-        p50_ms: 0.0,
-        p95_ms: 0.0,
-        p99_ms: 0.0,
-        saturation: 0.0,
-        digest: String::new(),
-    }
-}
-
-/// Pack-once payoff: 64 naive per-device engines (each re-packing weights
-/// and re-verifying the program) versus one shared [`FleetEngine`] and 64
-/// device views. Best-of-`reps`, single thread.
-fn bench_setup(rows: &mut Vec<FleetRow>, scenario: &FleetScenario, reps: usize) {
-    const FLEET: usize = 64;
-    let mut naive_ms = f64::INFINITY;
-    let mut shared_ms = f64::INFINITY;
-    for _ in 0..reps {
-        naive_ms = naive_ms.min(wall_ms(|| {
-            for d in 0..FLEET as u64 {
-                let engine = FrameEngine::new(scenario.program.clone(), FLEET_SEED ^ d);
-                engine.verify().expect("program verifies");
-                std::hint::black_box(&engine);
-            }
-        }));
-        shared_ms = shared_ms.min(wall_ms(|| {
-            let engine =
-                FleetEngine::new(scenario.program.clone(), FLEET_SEED).expect("program verifies");
-            for d in 0..FLEET as u64 {
-                std::hint::black_box(&engine.device(d));
-            }
-        }));
-    }
-    println!(
-        "setup x{FLEET}: naive {naive_ms:.1} ms | shared pack-once {shared_ms:.1} ms ({:.1}x)",
-        naive_ms / shared_ms
-    );
-    rows.push(setup_row("fleet_setup_naive_64", FLEET, naive_ms));
-    rows.push(setup_row("fleet_setup_shared_64", FLEET, shared_ms));
-}
 
 /// Runs one fleet and returns the report plus wall time.
 fn run_fleet(
@@ -125,13 +62,8 @@ fn run_fleet(
 }
 
 /// The bit-identity self-check: the same fleet at 1/2/4 workers must yield
-/// the same digest. Panics on mismatch; records the digests as rows.
-fn bench_determinism(
-    rows: &mut Vec<FleetRow>,
-    engine: &FleetEngine,
-    scenario: &FleetScenario,
-    smoke: bool,
-) {
+/// the same digest. Panics on mismatch.
+fn check_determinism(engine: &FleetEngine, scenario: &FleetScenario, smoke: bool) {
     let (devices, frames_per_device) = if smoke { (32u64, 2usize) } else { (12, 1) };
     let mut reference: Option<String> = None;
     for workers in [1usize, 2, 4] {
@@ -146,34 +78,15 @@ fn bench_determinism(
                 want, &digest,
                 "fleet digest diverged between worker counts — determinism broken"
             ),
-            None => reference = Some(digest.clone()),
+            None => reference = Some(digest),
         }
-        rows.push(FleetRow {
-            name: format!("fleet_determinism_w{workers}"),
-            fleet: devices as usize,
-            workers,
-            frames: (devices as usize) * frames_per_device,
-            wall_ms: ms,
-            energy_mj: report.energy.millis(),
-            p50_ms: 0.0,
-            p95_ms: 0.0,
-            p99_ms: 0.0,
-            saturation: 0.0,
-            digest,
-        });
     }
 }
 
 /// Population metrics vs fleet size: run the fleet, feed every frame's
 /// capture-complete time and payload through the BLE-fed cloudlet queue,
 /// and report energy, tail latency, and saturation.
-fn bench_sweep(
-    rows: &mut Vec<FleetRow>,
-    engine: &FleetEngine,
-    scenario: &FleetScenario,
-    workers: usize,
-    smoke: bool,
-) {
+fn sweep(engine: &FleetEngine, scenario: &FleetScenario, workers: usize, smoke: bool) {
     let sizes: &[u64] = if smoke {
         &[64, 256, 1024]
     } else {
@@ -215,19 +128,6 @@ fn bench_sweep(
             queue.utilization,
             report.digest_hex(),
         );
-        rows.push(FleetRow {
-            name: format!("fleet_{}_{fleet}", scenario.tag),
-            fleet: fleet as usize,
-            workers,
-            frames: report.frames as usize,
-            wall_ms: ms,
-            energy_mj: report.energy.millis(),
-            p50_ms: queue.latency.p50.millis(),
-            p95_ms: queue.latency.p95.millis(),
-            p99_ms: queue.latency.p99.millis(),
-            saturation: queue.utilization,
-            digest: report.digest_hex(),
-        });
     }
 }
 
@@ -242,13 +142,6 @@ fn main() {
         scenario.tag, scenario.input_dims, scenario.suffix_macs, scenario.suffix_params
     );
     let engine = FleetEngine::new(scenario.program.clone(), FLEET_SEED).expect("program verifies");
-
-    let mut rows: Vec<FleetRow> = Vec::new();
-    bench_setup(&mut rows, &scenario, if smoke { 2 } else { 3 });
-    bench_determinism(&mut rows, &engine, &scenario, smoke);
-    bench_sweep(&mut rows, &engine, &scenario, workers, smoke);
-
-    let json = serde_json::to_string_pretty(&rows).expect("serialize rows");
-    std::fs::write("BENCH_fleet.json", json).expect("write BENCH_fleet.json");
-    println!("wrote BENCH_fleet.json ({} rows)", rows.len());
+    check_determinism(&engine, &scenario, smoke);
+    sweep(&engine, &scenario, workers, smoke);
 }

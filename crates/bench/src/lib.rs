@@ -1,4 +1,4 @@
-//! Benchmark harness: regenerates every table and figure of the RedEye
+//! Experiment harness: regenerates every table and figure of the RedEye
 //! paper's evaluation (§V).
 //!
 //! Each `src/bin/*.rs` binary reproduces one artifact and prints
@@ -21,13 +21,14 @@
 //! | `privacy` | §VII feature-inversion irreversibility |
 //! | `utilization` | §III-B column-mapping ablation |
 //! | `all_experiments` | the paper artifacts above, in order |
+//! | `redeye-fleet` | §V-B sensor population over the cloudlet queue, with a worker-count digest check |
 //!
-//! `benches/` holds Criterion micro-benchmarks of the simulator itself.
+//! The simulator's own speed is measured elsewhere, by the repository
+//! benchmark in `perfbench/` (workloads and metrics in `perfbench/METRICS.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;
 pub mod report;
-pub mod schema;
 pub mod workload;

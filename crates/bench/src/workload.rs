@@ -110,66 +110,11 @@ pub fn train_standin(train_n: usize, epochs: usize, seed: u64) -> TrainedModel {
     }
 }
 
-/// One executor benchmark scenario: the compiled GoogLeNet prefix for a
-/// partition depth plus a matching full-size raw input.
-///
-/// Shared by every depth-swept perf mode (whole-frame latency, batched
-/// throughput, criterion groups) so scenario construction exists exactly
-/// once.
-pub struct DepthScenario {
-    /// The partition depth this scenario cuts at.
-    pub depth: Depth,
-    /// The compiled GoogLeNet-prefix program.
-    pub program: Program,
-    /// A 3×227×227 input in the executor's expected geometry.
-    pub input: Tensor,
-}
-
-impl DepthScenario {
-    /// Compiles the GoogLeNet prefix for `depth` and builds a matching
-    /// input (deterministic: same weights and input every call).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the zoo GoogLeNet spec fails to build or compile — a
-    /// programming error, not a data condition.
-    pub fn build(depth: Depth) -> Self {
-        let spec = zoo::googlenet();
-        let prefix = spec.prefix_through(depth.cut_layer()).expect("cut exists");
-        let mut rng = Rng::seed_from(41);
-        let mut net =
-            build_network(&prefix, WeightInit::HeNormal, &mut rng).expect("googlenet builds");
-        let mut bank = WeightBank::from_network(&mut net);
-        let program = compile(&prefix, &mut bank, &CompileOptions::default()).expect("compiles");
-        let input = Tensor::uniform(&[3, 227, 227], 0.0, 1.0, &mut rng);
-        DepthScenario {
-            depth,
-            program,
-            input,
-        }
-    }
-
-    /// Lowercase row tag ("depth1", "depth3", …).
-    pub fn tag(&self) -> String {
-        self.depth.to_string().to_lowercase()
-    }
-}
-
-/// The depths a perf mode sweeps: Depth1 only under `--smoke` (CI-sized),
-/// Depth1/3/5 otherwise.
-pub fn perf_depths(smoke: bool) -> &'static [Depth] {
-    if smoke {
-        &[Depth::D1]
-    } else {
-        &[Depth::D1, Depth::D3, Depth::D5]
-    }
-}
-
-/// One fleet benchmark scenario: a compiled prefix program for the whole
+/// One fleet scenario: a compiled prefix program for the whole
 /// population plus the host-side suffix workload the cloudlet finishes per
 /// frame.
 pub struct FleetScenario {
-    /// Row tag ("depth1" full, "micronet" smoke).
+    /// Scenario tag ("depth1" full, "micronet" smoke).
     pub tag: &'static str,
     /// The compiled prefix program every fleet device runs.
     pub program: Program,
@@ -181,8 +126,7 @@ pub struct FleetScenario {
     pub suffix_params: u64,
 }
 
-/// Builds the fleet scenario: the full GoogLeNet Depth1 cut (via
-/// [`DepthScenario::build`], so the program exists once), or — under
+/// Builds the fleet scenario: the full GoogLeNet Depth1 cut, or — under
 /// `smoke` — a micronet cut small enough that CI can push a four-digit
 /// fleet through it.
 ///
@@ -191,24 +135,16 @@ pub struct FleetScenario {
 /// Panics if the zoo specs fail to summarize, build, or compile — a
 /// programming error, not a data condition.
 pub fn fleet_scenario(smoke: bool) -> FleetScenario {
-    let (spec, cut, tag, program) = if smoke {
-        let spec = zoo::micronet(4, CLASSES);
-        let prefix = spec.prefix_through("pool1").expect("cut exists");
-        let mut rng = Rng::seed_from(17);
-        let mut net =
-            build_network(&prefix, WeightInit::HeNormal, &mut rng).expect("micronet builds");
-        let mut bank = WeightBank::from_network(&mut net);
-        let program = compile(&prefix, &mut bank, &CompileOptions::default()).expect("compiles");
-        (spec, "pool1", "micronet", program)
+    let (spec, cut, tag, seed) = if smoke {
+        (zoo::micronet(4, CLASSES), "pool1", "micronet", 17)
     } else {
-        let scenario = DepthScenario::build(Depth::D1);
-        (
-            zoo::googlenet(),
-            Depth::D1.cut_layer(),
-            "depth1",
-            scenario.program,
-        )
+        (zoo::googlenet(), Depth::D1.cut_layer(), "depth1", 41)
     };
+    let prefix = spec.prefix_through(cut).expect("cut exists");
+    let mut rng = Rng::seed_from(seed);
+    let mut net = build_network(&prefix, WeightInit::HeNormal, &mut rng).expect("prefix builds");
+    let mut bank = WeightBank::from_network(&mut net);
+    let program = compile(&prefix, &mut bank, &CompileOptions::default()).expect("compiles");
     let summary = summarize(&spec).expect("spec summarizes");
     let pos = summary
         .layers
@@ -223,21 +159,6 @@ pub fn fleet_scenario(smoke: bool) -> FleetScenario {
         suffix_macs: suffix.iter().map(|l| l.macs).sum(),
         suffix_params: suffix.iter().map(|l| l.params).sum(),
     }
-}
-
-/// The worker counts a scaling sweep covers up to a budget of `max`
-/// workers: powers of two below `max`, then `max` itself — so `4` gives
-/// `[1, 2, 4]` and a 6-core budget gives `[1, 2, 4, 6]`. Always non-empty.
-pub fn worker_counts(max: usize) -> Vec<usize> {
-    let max = max.max(1);
-    let mut counts = Vec::new();
-    let mut w = 1;
-    while w < max {
-        counts.push(w);
-        w *= 2;
-    }
-    counts.push(max);
-    counts
 }
 
 /// Parses `--workers <n|auto>` from a bin's arguments; without the flag,
@@ -292,14 +213,6 @@ mod tests {
         assert!(s.suffix_macs > 0, "the cloudlet must have work to do");
         assert!(s.suffix_params > 0);
         assert!(!s.program.instructions.is_empty());
-    }
-
-    #[test]
-    fn worker_counts_cover_the_budget() {
-        assert_eq!(worker_counts(1), vec![1]);
-        assert_eq!(worker_counts(4), vec![1, 2, 4]);
-        assert_eq!(worker_counts(6), vec![1, 2, 4, 6]);
-        assert_eq!(worker_counts(0), vec![1], "a zero budget still runs");
     }
 
     fn args(list: &[&str]) -> Vec<String> {

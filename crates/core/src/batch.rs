@@ -2,14 +2,16 @@
 //!
 //! RedEye is a *continuous* vision sensor: the interesting throughput
 //! metric is sustained frames/sec over a stream, not the latency of one
-//! frame. Within-frame parallelism is Amdahl-capped (the packed GEMM
-//! dominates frame time — see `BENCH_analog.json`), so the next scaling
-//! axis is *across* frames: [`BatchExecutor`] runs each batch's frame
-//! indices as tasks on [`run_stealing`], the same scheduler the fleet
-//! executor uses, against one immutable [`FrameEngine`]. Each worker
-//! borrows one of the executor's pre-allocated [`FrameCtx`]s, whose conv
-//! workspace survives from batch to batch (steady-state frames perform no
-//! GEMM packing allocations on any worker).
+//! frame. Within-frame parallelism is Amdahl-capped: every instruction
+//! splits and joins its own bands, and small stages stay serial. (The
+//! comparator max-pool, not the GEMM, dominates frame time; see
+//! perfbench's `stage.maxpool_ms`.) So the next scaling axis is *across*
+//! frames: [`BatchExecutor`] runs each batch's frame indices as tasks on
+//! [`run_stealing`], the same scheduler the fleet executor uses, against
+//! one immutable [`FrameEngine`]. Each worker borrows one of the
+//! executor's pre-allocated [`FrameCtx`]s, whose conv workspace survives
+//! from batch to batch (steady-state frames perform no GEMM packing
+//! allocations on any worker).
 //!
 //! # Determinism
 //!
@@ -116,8 +118,8 @@ impl BatchExecutor {
         Self::with_engine(FrameEngine::new(program, seed), workers)
     }
 
-    /// Creates a batch executor around a pre-configured engine (per-frame
-    /// thread knobs are set on the engine before handoff).
+    /// Creates a batch executor around a pre-configured engine (the
+    /// intra-frame thread budget is set on the engine before handoff).
     ///
     /// # Errors
     ///

@@ -144,11 +144,9 @@ pub struct FrameEngine {
     sar: Option<SarAdc>,
     /// Number of column slices available for this program's sensor array.
     columns: f64,
-    /// GEMM thread budget for conv instructions.
-    gemm_threads: usize,
-    /// Thread budget for the per-site analog stages (layer noise,
-    /// comparator pooling, SAR readout).
-    analog_threads: usize,
+    /// Intra-frame thread budget: conv GEMM bands and the per-site analog
+    /// stages (layer noise, comparator pooling, SAR readout).
+    threads: usize,
     /// f32 GEMM microkernel level. All levels are bit-identical (see
     /// [`SimdLevel`]); the knob exists for benchmarks and equivalence
     /// tests that pin a kernel without racing on `REDEYE_SIMD`.
@@ -175,8 +173,7 @@ impl FrameEngine {
             conv_packs,
             sar,
             columns,
-            gemm_threads: 1,
-            analog_threads: 1,
+            threads: 1,
             simd: SimdLevel::auto(),
             budget: redeye_verify::CostBudget::default(),
             verified: OnceLock::new(),
@@ -191,22 +188,12 @@ impl FrameEngine {
         self.verified = OnceLock::new();
     }
 
-    /// Sets both the GEMM and the analog-stage thread budgets. Results are
-    /// bit-identical across budgets; small stages stay serial regardless.
+    /// Sets the intra-frame thread budget: conv GEMM bands and the
+    /// per-site analog stages (layer noise, comparator max pooling, SAR
+    /// readout). Results are bit-identical across budgets; small stages
+    /// stay serial regardless.
     pub fn set_threads(&mut self, threads: usize) {
-        self.set_gemm_threads(threads);
-        self.set_analog_threads(threads);
-    }
-
-    /// Sets the GEMM thread budget for conv instructions only.
-    pub fn set_gemm_threads(&mut self, threads: usize) {
-        self.gemm_threads = threads.max(1);
-    }
-
-    /// Sets the thread budget for the per-site analog stages (layer noise,
-    /// comparator max pooling, SAR readout) only.
-    pub fn set_analog_threads(&mut self, threads: usize) {
-        self.analog_threads = threads.max(1);
+        self.threads = threads.max(1);
     }
 
     /// Pins the f32 GEMM microkernel level for this engine's conv MACs.
@@ -307,8 +294,7 @@ impl FrameEngine {
             conv_packs: &self.conv_packs,
             sar: self.sar.as_ref(),
             columns: self.columns,
-            gemm_threads: self.gemm_threads,
-            analog_threads: self.analog_threads,
+            threads: self.threads,
             noise_scale,
             simd: self.simd,
             ledger: EnergyLedger::new(),
@@ -430,12 +416,10 @@ impl FrameCtx {
 /// parallelism over the same engine/context split, see
 /// [`BatchExecutor`](crate::BatchExecutor).
 ///
-/// Three thread knobs exist across the stack: frame-level parallelism in
-/// `redeye-sim`'s accuracy harness and the batch executor's workers,
-/// the GEMM budget for conv products ([`Executor::set_gemm_threads`]), and
-/// the analog-stage budget for the per-site pipelines
-/// ([`Executor::set_analog_threads`]).
-/// [`Executor::set_threads`] sets the latter two together.
+/// Two thread knobs exist across the stack: frame-level parallelism in
+/// `redeye-sim`'s accuracy harness and the batch executor's workers, and
+/// the intra-frame budget ([`Executor::set_threads`]) that shards conv
+/// GEMM bands and the per-site analog stages within one frame.
 ///
 /// # Example
 ///
@@ -475,21 +459,10 @@ impl Executor {
         }
     }
 
-    /// Sets both the GEMM and the analog-stage thread budgets. Results are
-    /// bit-identical across budgets; small stages stay serial regardless.
+    /// Sets the intra-frame thread budget (see
+    /// [`FrameEngine::set_threads`]). Bit-identical across budgets.
     pub fn set_threads(&mut self, threads: usize) {
         self.engine.set_threads(threads);
-    }
-
-    /// Sets the GEMM thread budget for conv instructions only.
-    pub fn set_gemm_threads(&mut self, threads: usize) {
-        self.engine.set_gemm_threads(threads);
-    }
-
-    /// Sets the thread budget for the per-site analog stages (layer noise,
-    /// comparator max pooling, SAR readout) only.
-    pub fn set_analog_threads(&mut self, threads: usize) {
-        self.engine.set_analog_threads(threads);
     }
 
     /// Pins the f32 GEMM microkernel level (see
@@ -587,8 +560,7 @@ struct FramePass<'a> {
     /// The engine's pack-once SAR ADC template.
     sar: Option<&'a SarAdc>,
     columns: f64,
-    gemm_threads: usize,
-    analog_threads: usize,
+    threads: usize,
     /// Device amplitude factor on every layer-noise σ (1.0 nominal).
     noise_scale: f32,
     /// f32 microkernel level for the conv GEMM (bit-identical across
@@ -663,7 +635,7 @@ impl FramePass<'_> {
                     x.as_slice(),
                     &geom,
                     &mut out,
-                    self.gemm_threads,
+                    self.threads,
                 );
                 for (oc, &b) in bias.iter().enumerate() {
                     for v in &mut out[oc * positions..(oc + 1) * positions] {
@@ -672,7 +644,7 @@ impl FramePass<'_> {
                 }
                 let out = Tensor::from_vec(out, &[*out_c, positions])?;
                 let out = self.add_layer_noise(out, *snr);
-                let out = clip_and_rectify(out, *relu);
+                let out = rectify(out, *relu);
 
                 let macs = geom.macs(*out_c);
                 self.charge_macs(macs, *snr);
@@ -749,7 +721,7 @@ impl FramePass<'_> {
 
     /// Adds the layer-SNR Gaussian noise of the paper's Gaussian Noise
     /// Layer: σ = signal_rms / 10^(SNR/20). Site `i` is output element `i`;
-    /// the plane shards across the analog thread budget on sample-pair
+    /// the plane shards across the frame thread budget on sample-pair
     /// boundaries, so any resharding reproduces the same elements.
     fn add_layer_noise(&mut self, mut out: Tensor, snr: SnrDb) -> Tensor {
         let rms = out.power().map(f32::sqrt).unwrap_or(0.0);
@@ -761,7 +733,7 @@ impl FramePass<'_> {
         // amplitude factor on fleet devices.
         let sigma = self.noise_scale * (rms / snr.amplitude_ratio() as f32);
         let stream = self.next_stream();
-        shard_mut(out.as_mut_slice(), self.analog_threads, 2, |first, band| {
+        shard_mut(out.as_mut_slice(), self.threads, 2, |first, band| {
             stream.add_scaled_normal(first as u64, sigma, band);
         });
         out
@@ -783,7 +755,7 @@ impl FramePass<'_> {
     /// Max pooling through the dynamic comparator, with real forced
     /// decisions under metastability. Each output element is one noise site
     /// drawing its comparator samples sequentially, so the output shards
-    /// freely over the analog thread budget; per-band decision/forced counts
+    /// freely over the frame thread budget; per-band decision/forced counts
     /// are summed in band order and energy is charged as a
     /// `count × per-decision` product, keeping the ledger independent of the
     /// thread count.
@@ -801,7 +773,7 @@ impl FramePass<'_> {
         let plane_out = out_h * out_w;
         let src = x.as_slice();
         let mut out = vec![0.0f32; geom.out_len()];
-        let stats = shard_mut(&mut out, self.analog_threads, 1, |first, band| {
+        let stats = shard_mut(&mut out, self.threads, 1, |first, band| {
             let mut comparator = Comparator::new();
             for (i, slot) in band.iter_mut().enumerate() {
                 let idx = first + i;
@@ -890,7 +862,7 @@ impl FramePass<'_> {
         let src = x.as_slice();
         let mut codes = vec![0u32; n];
         let mut deq = vec![0.0f32; n];
-        let chunk = band_len(self.analog_threads, n, 1);
+        let chunk = band_len(self.threads, n, 1);
         let bands = codes.chunks_mut(chunk).zip(deq.chunks_mut(chunk)).collect();
         let band_clips = par_map(bands, |t, (cband, dband): (&mut [u32], &mut [f32])| {
             let mut adc = template.clone();
@@ -945,19 +917,16 @@ where
     })
 }
 
-/// Clips at the positive rail (max observed swing under unity gain staging)
-/// and rectifies at zero when the layer fuses a ReLU.
-fn clip_and_rectify(mut out: Tensor, relu: bool) -> Tensor {
-    let top = out.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-    for v in out.iter_mut() {
-        if relu && *v < 0.0 {
-            *v = 0.0;
-        }
-        if *v > top {
-            *v = top;
-        }
-        if *v < -top {
-            *v = -top;
+/// Rectifies at zero when the layer fuses a ReLU. There is no rail clip:
+/// unity gain staging maps the plane's own max |v| to the rail, so no
+/// value can exceed it. The explicit compare leaves `-0.0` as it is
+/// (`f32::max(0.0)` need not), and the feature digests see that sign bit.
+fn rectify(mut out: Tensor, relu: bool) -> Tensor {
+    if relu {
+        for v in out.iter_mut() {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
         }
     }
     out
@@ -1190,7 +1159,7 @@ mod tests {
         let mut reference: Option<ExecutionResult> = None;
         for threads in [1usize, 2, 4] {
             let mut exec = Executor::new(program.clone(), 77);
-            exec.set_analog_threads(threads);
+            exec.set_threads(threads);
             let got = exec.execute(&input).unwrap();
             if let Some(want) = &reference {
                 assert_eq!(want.features, got.features, "{threads} threads");

@@ -37,7 +37,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// [`std::thread::available_parallelism`], or 1 when the host cannot say.
 ///
 /// This is the default pool size everywhere a worker count is optional
-/// (the fleet executor, the perf bins' `--workers auto`), so hosts stop
+/// (the fleet executor, `redeye-fleet --workers auto`), so hosts stop
 /// hard-coding sweeps like 1/2/4 that only measure queue overhead on
 /// smaller machines.
 pub fn auto_workers() -> usize {

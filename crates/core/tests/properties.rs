@@ -138,7 +138,7 @@ proptest! {
         let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
         let run = |threads: usize| {
             let mut exec = Executor::new(program.clone(), seed);
-            exec.set_analog_threads(threads);
+            exec.set_threads(threads);
             exec.execute(&input).unwrap()
         };
         let want = run(1);
@@ -152,8 +152,9 @@ proptest! {
         }
     }
 
-    /// Batched execution is invariant to the worker count (1/2/4) *and* the
-    /// batch split (1/4/whole-stream), bit-identical to the serial executor
+    /// Batched execution is invariant to the worker count (1/2/4), the
+    /// frame thread budget (1/2 under 2 workers) *and* the batch split
+    /// (1/2/whole-stream), bit-identical to the serial executor
     /// over the program zoo: per-frame features, codes, ledgers, frame
     /// times, and cumulative forced tallies, plus the merged ledger's
     /// integer stats (and its energy terms — the frame-order fold makes
@@ -198,9 +199,13 @@ proptest! {
             })
             .collect();
 
-        for workers in [1usize, 2, 4] {
+        // (workers, frame threads): the last case nests intra-frame
+        // sharding inside the stealing workers (micronet conv1 planes are
+        // >= 4096 sites, so the bands really split).
+        for (workers, threads) in [(1usize, 1usize), (2, 1), (4, 1), (2, 2)] {
             for batch_size in [1usize, 2, n] {
-                let engine = redeye_core::FrameEngine::new(program.clone(), seed);
+                let mut engine = redeye_core::FrameEngine::new(program.clone(), seed);
+                engine.set_threads(threads);
                 let mut batch = BatchExecutor::with_engine(engine, workers).unwrap();
                 let mut merged = EnergyLedger::new();
                 let mut got = Vec::new();
@@ -209,7 +214,7 @@ proptest! {
                     merged.merge(&result.ledger);
                     got.extend(result.frames);
                 }
-                let tag = format!("{workers}w/b{batch_size}");
+                let tag = format!("{workers}w/{threads}t/b{batch_size}");
                 prop_assert_eq!(want.len(), got.len(), "{}: frame count", &tag);
                 for (f, (w, g)) in want.iter().zip(got.iter()).enumerate() {
                     prop_assert_eq!(&w.features, &g.features, "{}: frame {} features", &tag, f);

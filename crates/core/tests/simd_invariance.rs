@@ -59,7 +59,7 @@ fn serial_digests(
 ) -> Vec<u64> {
     let mut exec = Executor::new(prog.clone(), seed);
     exec.set_simd_level(level);
-    exec.set_gemm_threads(threads);
+    exec.set_threads(threads);
     inputs
         .iter()
         .map(|x| digest_of(&exec.execute(x).unwrap()))

@@ -3,7 +3,7 @@
 use redeye_tensor::Tensor;
 
 /// Whether the ground-truth `label` appears in the top `k` scores of
-/// `scores` (the paper's Top-5 criterion with `k = 5`).
+/// `scores` (the paper's Top-5 metric with `k = 5`).
 pub fn top_k_correct(scores: &Tensor, label: usize, k: usize) -> bool {
     scores.top_k(k).contains(&label)
 }

@@ -338,7 +338,7 @@ mod tests {
         }
     }
 
-    /// The acceptance criterion for the workspace refactor: once the first
+    /// The acceptance bar for the workspace refactor: once the first
     /// forward pass has grown the `im2col`/packing scratch to its high-water
     /// mark, later passes must not move or regrow any buffer — i.e. the hot
     /// path performs zero per-call heap allocations for that scratch.

@@ -7,7 +7,7 @@
 //! are absorbed by the pack step's gather, not separate loops — using a
 //! thread-local [`Workspace`] so repeated calls at a fixed shape reuse the
 //! same scratch. A deliberately simple [`matmul_naive`] reference is
-//! retained for equivalence testing and benchmarking.
+//! retained for equivalence testing.
 
 use crate::workspace::Workspace;
 use crate::{gemm, Tensor, TensorError};
@@ -80,9 +80,8 @@ pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError>
 /// The retained naive reference product: a cache-aware ikj triple loop with
 /// no packing, no blocking, and no threading.
 ///
-/// This is the oracle the packed engine is property-tested against, and the
-/// baseline the benchmark suite measures speedups over. It is not used on
-/// any hot path.
+/// This is the oracle the packed engine is property-tested against. It is
+/// not used on any hot path.
 ///
 /// # Errors
 ///

@@ -108,7 +108,7 @@ impl SimdLevel {
     }
 
     /// All levels this build can run, narrowest first — the sweep domain
-    /// for equivalence tests and the `simd_vs_portable` benchmarks.
+    /// for equivalence tests.
     pub fn available_levels() -> Vec<SimdLevel> {
         [SimdLevel::Portable, SimdLevel::Avx2, SimdLevel::Avx512]
             .into_iter()
