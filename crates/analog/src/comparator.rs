@@ -7,8 +7,8 @@
 //! for max pooling, because a forced decision only ever picks between two
 //! nearly-identical values.
 
-use crate::calib::{COMPARATOR_DECISION_TIME, COMPARATOR_ENERGY, SWING};
-use crate::{Joules, Seconds, Volts};
+use crate::calib::{COMPARATOR_DECISION_TIME, SWING};
+use crate::{Seconds, Volts};
 use redeye_tensor::NoiseSource;
 
 /// Outcome of one comparator decision.
@@ -31,8 +31,6 @@ pub struct Comparator {
     tau: Seconds,
     /// Allocated decision time slot; exceeding it forces a decision.
     time_slot: Seconds,
-    energy: Joules,
-    decisions: u64,
     forced: u64,
 }
 
@@ -44,8 +42,6 @@ impl Comparator {
             noise_rms: Volts::new(3e-4),
             tau: Seconds::new(1e-10),
             time_slot: COMPARATOR_DECISION_TIME,
-            energy: Joules::zero(),
-            decisions: 0,
             forced: 0,
         }
     }
@@ -68,8 +64,6 @@ impl Comparator {
     /// sequential [`redeye_tensor::Rng`] or from a deterministic per-site
     /// [`redeye_tensor::SiteRng`] in parallel executors.
     pub fn compare<R: NoiseSource>(&mut self, a: f64, b: f64, rng: &mut R) -> ComparatorDecision {
-        self.decisions += 1;
-        self.energy += COMPARATOR_ENERGY;
         let delta = (a - b) + f64::from(rng.standard_normal()) * self.noise_rms.value();
         // Regeneration time grows logarithmically as |Δ| shrinks.
         let time = if delta == 0.0 {
@@ -80,7 +74,7 @@ impl Comparator {
         if time.value() > self.time_slot.value() {
             // Timeout: force an arbitrary decision (paper §IV-A). The forced
             // decision costs the maximum (full-slot) time but no extra
-            // energy beyond the dynamic decision charge.
+            // energy beyond the per-decision charge of the cost model.
             self.forced += 1;
             ComparatorDecision {
                 a_greater: rng.chance(0.5),
@@ -94,16 +88,6 @@ impl Comparator {
                 time,
             }
         }
-    }
-
-    /// Total energy consumed.
-    pub fn energy_consumed(&self) -> Joules {
-        self.energy
-    }
-
-    /// Total decisions made.
-    pub fn decisions_made(&self) -> u64 {
-        self.decisions
     }
 
     /// Number of decisions forced by the metastability timeout.
@@ -172,16 +156,5 @@ mod tests {
         let far = c.compare(0.5, 0.0, &mut rng).time;
         let near = c.compare(0.001, 0.0, &mut rng).time;
         assert!(near.value() > far.value());
-    }
-
-    #[test]
-    fn energy_is_per_decision() {
-        let mut c = Comparator::new();
-        let mut rng = Rng::seed_from(5);
-        for _ in 0..10 {
-            c.compare(1.0, 0.0, &mut rng);
-        }
-        let expect = COMPARATOR_ENERGY * 10.0;
-        assert!((c.energy_consumed().value() - expect.value()).abs() < 1e-24);
     }
 }

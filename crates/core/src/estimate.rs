@@ -4,21 +4,21 @@
 //! estimations" for a partitioned ConvNet (§III-D). Accuracy needs the
 //! functional executor; energy and timing need only *operation counts*,
 //! which shape propagation provides exactly. This module turns a network
-//! prefix's [`PrefixTotals`] into the per-frame numbers behind Figs. 7–10
+//! prefix's per-layer summary into the per-frame numbers behind Figs. 7–10
 //! and Table I.
 //!
 //! The column-parallel topology (§III-B) processes all 227 columns
 //! simultaneously, so frame time is the per-column sequential work times the
-//! per-operation settling times of [`redeye_analog::calib`].
+//! per-operation settling times of [`redeye_analog::calib`]. The unit
+//! charges and the process-corner rule are the cost pass's
+//! ([`redeye_verify::cost`]), the one cost model the executor reports too.
 
-use crate::{CoreError, EnergyLedger, Result};
-use redeye_analog::calib::{
-    COLUMN_COUNT, COMPARATOR_DECISION_TIME, COMPARATOR_ENERGY, CONTROLLER_CLOCK_MHZ,
-    CONTROLLER_UW_PER_MHZ, MAC_ENERGY_40DB, MAC_SETTLE_TIME_40DB, MEMORY_WRITE_ENERGY_40DB,
-    SAR_ARRAY_STEP_ENERGY, SAR_BIT_LOGIC_ENERGY, SAR_BIT_TIME,
-};
-use redeye_analog::{DampingConfig, Joules, ProcessCorner, Seconds, SnrDb, Watts};
-use redeye_nn::{summarize, NetworkSpec, PrefixTotals};
+use crate::{CoreError, CostEstimate, EnergyLedger, Result};
+use redeye_analog::calib::COLUMN_COUNT;
+use redeye_analog::{Joules, ProcessCorner, SarAdc, Seconds, SnrDb};
+use redeye_nn::{summarize, NetworkSpec};
+pub use redeye_verify::cost::controller_power;
+use redeye_verify::cost::{comparison_cost, mac_cost, readout_cost, write_energy};
 use serde::{Deserialize, Serialize};
 
 /// A RedEye operating configuration: the knobs a developer programs
@@ -85,16 +85,6 @@ pub struct Estimate {
     pub readout_bits: u64,
     /// Feature payload in bytes (bit-packed).
     pub feature_bytes: usize,
-}
-
-/// SAR conversion energy at `bits` resolution (array + comparator/logic).
-pub fn sar_conversion_energy(bits: u32) -> Joules {
-    SAR_ARRAY_STEP_ENERGY * 2f64.powi(bits as i32) + SAR_BIT_LOGIC_ENERGY * f64::from(bits)
-}
-
-/// Controller power at the 30-fps clock (§V-D: ≈12 mW).
-pub fn controller_power() -> Watts {
-    Watts::new(CONTROLLER_UW_PER_MHZ * 1e-6 * CONTROLLER_CLOCK_MHZ * 1e6 / 1e6)
 }
 
 /// A per-layer noise-admission plan: a default SNR plus named overrides
@@ -181,12 +171,15 @@ pub fn predicted_output_snr(spec: &NetworkSpec, cut: &str, plan: &NoisePlan) -> 
 }
 
 /// Estimates one frame with a per-layer noise plan over the prefix of
-/// `summary` ending at `cut`. Energy of each layer scales with its own
-/// damping setting; timing and readout are unchanged by SNR.
+/// `summary` ending at `cut`, at process corner `corner`. Energy of each
+/// layer scales with its own damping setting; timing and readout are
+/// unchanged by SNR. The corner applies last, through
+/// [`CostEstimate::at_corner`], to each energy item with its time.
 ///
 /// # Errors
 ///
-/// Returns an error if `cut` does not name a summarized layer.
+/// Returns an error if `cut` does not name a summarized layer or `adc_bits`
+/// is not a buildable SAR resolution.
 pub fn estimate_prefix_per_layer(
     summary: &redeye_nn::NetworkSummary,
     cut: &str,
@@ -199,29 +192,45 @@ pub fn estimate_prefix_per_layer(
         .iter()
         .position(|l| l.name == cut)
         .ok_or_else(|| CoreError::Nn(redeye_nn::NnError::UnknownLayer { name: cut.into() }))?;
-    let power_f = corner.power_factor();
-    let timing_f = corner.timing_factor();
     let cols = COLUMN_COUNT as f64;
 
     let mut energy = EnergyLedger::new();
     let mut timing = TimingBreakdown::default();
     for layer in &summary.layers[..=pos] {
-        let scale = DampingConfig::from_snr(plan.snr_for(&layer.name)).energy_scale();
-        energy.processing += MAC_ENERGY_40DB * (layer.macs as f64 * scale * power_f);
-        energy.pooling += COMPARATOR_ENERGY * (layer.comparisons as f64 * power_f);
-        energy.memory += MEMORY_WRITE_ENERGY_40DB * (layer.writes as f64 * scale * power_f);
+        let snr = plan.snr_for(&layer.name);
+        let mac = mac_cost(layer.macs, snr, cols);
+        let pool = comparison_cost(layer.comparisons, cols);
+        energy.processing += mac.energy;
+        energy.pooling += pool.energy;
+        energy.memory += write_energy(layer.writes, snr);
         energy.macs += layer.macs;
         energy.comparisons += layer.comparisons;
         energy.writes += layer.writes;
-        timing.processing += MAC_SETTLE_TIME_40DB * (layer.macs as f64 / cols * timing_f);
-        timing.pooling += COMPARATOR_DECISION_TIME * (layer.comparisons as f64 / cols * timing_f);
+        timing.processing += mac.time;
+        timing.pooling += pool.time;
     }
     let out_len = summary.layers[pos].out_len;
-    energy.quantization = sar_conversion_energy(adc_bits) * (out_len as f64 * power_f);
+    let readout = readout_cost(&SarAdc::new(adc_bits)?, out_len, cols);
+    energy.quantization = readout.energy;
     energy.conversions = out_len;
     energy.readout_bits = out_len * u64::from(adc_bits);
-    timing.quantization = SAR_BIT_TIME * (out_len as f64 / cols * f64::from(adc_bits) * timing_f);
+    timing.quantization = readout.time;
     energy.controller = controller_power() * timing.frame_time();
+
+    // Each energy item goes through the corner rule with its own time.
+    let at_corner = |energy: &mut Joules, time: &mut Seconds| {
+        let scaled = CostEstimate {
+            energy: *energy,
+            time: *time,
+        }
+        .at_corner(corner);
+        (*energy, *time) = (scaled.energy, scaled.time);
+    };
+    at_corner(&mut energy.processing, &mut timing.processing);
+    at_corner(&mut energy.pooling, &mut timing.pooling);
+    at_corner(&mut energy.quantization, &mut timing.quantization);
+    at_corner(&mut energy.memory, &mut Seconds::zero());
+    at_corner(&mut energy.controller, &mut Seconds::zero());
     Ok(Estimate {
         readout_values: out_len,
         readout_bits: energy.readout_bits,
@@ -231,71 +240,29 @@ pub fn estimate_prefix_per_layer(
     })
 }
 
-/// Estimates one frame of RedEye execution over a network prefix described
-/// by its operation totals.
-pub fn estimate_prefix(totals: &PrefixTotals, config: &RedEyeConfig) -> Estimate {
-    let damping = DampingConfig::from_snr(config.snr);
-    let scale = damping.energy_scale();
-    let power_f = config.corner.power_factor();
-    let timing_f = config.corner.timing_factor();
-
-    let processing = MAC_ENERGY_40DB * (totals.macs as f64 * scale * power_f);
-    let pooling = COMPARATOR_ENERGY * (totals.comparisons as f64 * power_f);
-    let memory = MEMORY_WRITE_ENERGY_40DB * (totals.writes as f64 * scale * power_f);
-    let quantization = sar_conversion_energy(config.adc_bits) * (totals.out_len as f64 * power_f);
-
-    let cols = COLUMN_COUNT as f64;
-    let timing = TimingBreakdown {
-        processing: MAC_SETTLE_TIME_40DB * (totals.macs as f64 / cols * timing_f),
-        pooling: COMPARATOR_DECISION_TIME * (totals.comparisons as f64 / cols * timing_f),
-        quantization: SAR_BIT_TIME
-            * (totals.out_len as f64 / cols * f64::from(config.adc_bits) * timing_f),
-    };
-    let controller = controller_power() * timing.frame_time();
-
-    let readout_bits = totals.out_len * u64::from(config.adc_bits);
-    Estimate {
-        energy: EnergyLedger {
-            processing,
-            pooling,
-            memory,
-            quantization,
-            controller,
-            macs: totals.macs,
-            comparisons: totals.comparisons,
-            writes: totals.writes,
-            conversions: totals.out_len,
-            readout_bits,
-        },
-        timing,
-        readout_values: totals.out_len,
-        readout_bits,
-        feature_bytes: crate::FeatureSram::bytes_needed(totals.out_len, config.adc_bits),
-    }
-}
-
-/// Estimates one frame over the prefix of `spec` ending at layer `cut`.
+/// Estimates one frame over the prefix of `spec` ending at layer `cut`,
+/// every layer at the configuration's SNR.
 ///
 /// # Errors
 ///
-/// Returns an error if `cut` does not name a layer of `spec` or the spec's
-/// geometry is inconsistent.
+/// Returns an error if `cut` does not name a layer of `spec`, the spec's
+/// geometry is inconsistent, or the ADC resolution is not buildable.
 pub fn estimate_spec_prefix(
     spec: &NetworkSpec,
     cut: &str,
     config: &RedEyeConfig,
 ) -> Result<Estimate> {
     let summary = summarize(spec)?;
-    let totals = summary.prefix_totals(cut)?;
-    Ok(estimate_prefix(&totals, config))
+    let plan = NoisePlan::uniform(config.snr);
+    estimate_prefix_per_layer(&summary, cut, &plan, config.adc_bits, config.corner)
 }
 
 /// Estimates one frame of GoogLeNet at one of the paper's five depths.
 ///
 /// # Errors
 ///
-/// Propagates shape-propagation errors (none occur for the built-in
-/// GoogLeNet descriptor).
+/// Propagates [`estimate_spec_prefix`] errors (only an unbuildable ADC
+/// resolution occurs for the built-in GoogLeNet descriptor).
 pub fn estimate_depth(depth: crate::Depth, config: &RedEyeConfig) -> Result<Estimate> {
     let spec = redeye_nn::zoo::googlenet();
     estimate_spec_prefix(&spec, depth.cut_layer(), config)
@@ -307,15 +274,15 @@ pub fn estimate_depth(depth: crate::Depth, config: &RedEyeConfig) -> Result<Esti
 ///
 /// Propagates [`estimate_depth`] errors.
 pub fn estimate_all_depths(config: &RedEyeConfig) -> Result<Vec<(crate::Depth, Estimate)>> {
-    let spec = redeye_nn::zoo::googlenet();
-    let summary = summarize(&spec)?;
+    let summary = summarize(&redeye_nn::zoo::googlenet())?;
+    let plan = NoisePlan::uniform(config.snr);
     crate::Depth::ALL
         .iter()
         .map(|&d| {
-            let totals = summary
-                .prefix_totals(d.cut_layer())
-                .map_err(CoreError::from)?;
-            Ok((d, estimate_prefix(&totals, config)))
+            let cut = d.cut_layer();
+            let est =
+                estimate_prefix_per_layer(&summary, cut, &plan, config.adc_bits, config.corner)?;
+            Ok((d, est))
         })
         .collect()
 }
@@ -458,7 +425,7 @@ mod tests {
         // conv1 is ~123.5M of ~500M prefix MACs; boosting it 10× adds ~9×
         // its share.
         let conv1 = summary.layer("conv1").unwrap().macs as f64;
-        let expected_extra = MAC_ENERGY_40DB.value() * conv1 * 9.0;
+        let expected_extra = redeye_analog::calib::MAC_ENERGY_40DB.value() * conv1 * 9.0;
         let extra = b.energy.processing.value() - a.energy.processing.value();
         assert!(
             (extra / expected_extra - 1.0).abs() < 1e-9,

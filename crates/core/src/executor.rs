@@ -23,9 +23,17 @@
 //! is shared between sites, the per-element loops (layer noise, comparator
 //! max pooling, SAR readout) shard freely across worker threads — mirroring
 //! RedEye's physically column-parallel pipeline — and the output is
-//! **bit-identical for a fixed seed regardless of the thread count**. Energy
-//! is charged as `count × per-op energy` products and integer stats are
-//! summed in band order, so the ledger is equally invariant to resharding.
+//! **bit-identical for a fixed seed regardless of the thread count**.
+//! Integer stats (forced decisions, rail clips) are summed in band order,
+//! so they are equally invariant to resharding.
+//!
+//! # Cost
+//!
+//! The executor charges no energy or time itself. A frame's ledger and
+//! frame time are a pure function of the program (noise never reaches
+//! them), so they come from the `redeye-verify` cost pass, the one cost
+//! model: the engine's lazy verification caches its nominal
+//! [`EnergyLedger`] and frame time, and every frame reports them.
 //!
 //! # Engine/context split (cross-frame batching)
 //!
@@ -39,12 +47,9 @@
 //! worker count because frame `f`'s noise depends only on `(seed, f)` —
 //! never on which worker ran it or what ran before.
 
-use crate::{CoreError, EnergyLedger, Instruction, Program, Result};
-use redeye_analog::calib::{
-    COMPARATOR_DECISION_TIME, COMPARATOR_ENERGY, MAC_ENERGY_40DB, MAC_SETTLE_TIME_40DB,
-    MEMORY_WRITE_ENERGY_40DB, SWING,
-};
-use redeye_analog::{Comparator, DampingConfig, SarAdc, Seconds, SnrDb};
+use crate::{CoreError, CostBounds, EnergyLedger, Instruction, Program, Result};
+use redeye_analog::calib::SWING;
+use redeye_analog::{Comparator, SarAdc, Seconds, SnrDb};
 use redeye_tensor::{
     conv_gemm_packed_into, par_map, ConvGeom, NoiseStream, PackedWeights, PoolGeom, SimdLevel,
     Tensor, Workspace,
@@ -59,7 +64,7 @@ pub struct ExecutionResult {
     pub features: Tensor,
     /// Raw ADC codes, row-major over the feature tensor.
     pub codes: Vec<u32>,
-    /// Itemized energy charged during execution.
+    /// Itemized frame energy (the cost pass's nominal ledger).
     pub ledger: EnergyLedger,
     /// Frame time under column parallelism.
     pub elapsed: Seconds,
@@ -88,7 +93,7 @@ pub struct FrameOutput {
     pub features: Tensor,
     /// Raw ADC codes, row-major over the feature tensor.
     pub codes: Vec<u32>,
-    /// Itemized energy charged during this frame.
+    /// Itemized frame energy (the cost pass's nominal ledger).
     pub ledger: EnergyLedger,
     /// Frame time under column parallelism.
     pub elapsed: Seconds,
@@ -109,8 +114,8 @@ pub struct FrameOutput {
 const ANALOG_PARALLEL_MIN: usize = 4096;
 
 /// The immutable, shareable half of the executor: verified program, weights
-/// (inside the program's instructions), the root noise stream, and the
-/// column geometry plus execution knobs.
+/// (inside the program's instructions), the root noise stream, the cached
+/// frame cost, and the execution knobs.
 ///
 /// A `FrameEngine` holds *no* per-frame state, so one engine can be shared
 /// by reference (or `Arc`) across any number of workers, each driving its
@@ -142,8 +147,6 @@ pub struct FrameEngine {
     /// program's resolution is invalid, in which case quantization fails
     /// with the constructor's error.
     sar: Option<SarAdc>,
-    /// Number of column slices available for this program's sensor array.
-    columns: f64,
     /// Intra-frame thread budget: conv GEMM bands and the per-site analog
     /// stages (layer noise, comparator pooling, SAR readout).
     threads: usize,
@@ -153,17 +156,17 @@ pub struct FrameEngine {
     simd: SimdLevel,
     /// Per-frame cost caps enforced during pre-frame verification.
     budget: redeye_verify::CostBudget,
-    /// Set once the program passes static verification; checked lazily on
-    /// the first frame so construction stays infallible, and shared so
-    /// concurrent workers verify at most once.
-    verified: OnceLock<()>,
+    /// The program's static cost (nominal ledger and frame time), set once
+    /// the program passes static verification; checked lazily on the first
+    /// frame so construction stays infallible, and shared so concurrent
+    /// workers verify at most once.
+    cost: OnceLock<CostBounds>,
 }
 
 impl FrameEngine {
     /// Creates an engine for `program`, seeding all stochastic behaviour
     /// from `seed`.
     pub fn new(program: Program, seed: u64) -> Self {
-        let columns = program.input[2].max(1) as f64;
         let mut conv_packs = Vec::new();
         collect_conv_packs(&program.instructions, &mut conv_packs);
         let sar = SarAdc::new(program.adc_bits).ok();
@@ -172,11 +175,10 @@ impl FrameEngine {
             stream: NoiseStream::new(seed),
             conv_packs,
             sar,
-            columns,
             threads: 1,
             simd: SimdLevel::auto(),
             budget: redeye_verify::CostBudget::default(),
-            verified: OnceLock::new(),
+            cost: OnceLock::new(),
         }
     }
 
@@ -185,7 +187,7 @@ impl FrameEngine {
     /// refuses to execute. Resets the verification cache.
     pub fn set_cost_budget(&mut self, budget: redeye_verify::CostBudget) {
         self.budget = budget;
-        self.verified = OnceLock::new();
+        self.cost = OnceLock::new();
     }
 
     /// Sets the intra-frame thread budget: conv GEMM bands and the
@@ -222,10 +224,16 @@ impl FrameEngine {
     ///
     /// Returns [`CoreError::Verify`] if the program has verification errors.
     pub fn verify(&self) -> Result<()> {
-        if self.verified.get().is_some() {
-            return Ok(());
+        self.cost().map(|_| ())
+    }
+
+    /// The program's static cost, from the verification that admits it:
+    /// the nominal ledger and frame time every frame reports.
+    fn cost(&self) -> Result<&CostBounds> {
+        if let Some(cost) = self.cost.get() {
+            return Ok(cost);
         }
-        let report = redeye_verify::verify_with_options(
+        let (report, cost) = redeye_verify::verify_with_cost(
             &self.program,
             &redeye_verify::VerifyOptions {
                 limits: redeye_verify::ResourceLimits::default(),
@@ -235,8 +243,10 @@ impl FrameEngine {
         if report.has_errors() {
             return Err(CoreError::Verify(report));
         }
-        let _ = self.verified.set(());
-        Ok(())
+        let cost = cost.ok_or_else(|| CoreError::BadProgram {
+            reason: format!("program `{}` has no static cost", self.program.name),
+        })?;
+        Ok(self.cost.get_or_init(|| cost))
     }
 
     /// Executes frame number `frame` through the analog pipeline and the
@@ -276,7 +286,7 @@ impl FrameEngine {
         input: &Tensor,
         ctx: &mut FrameCtx,
     ) -> Result<FrameOutput> {
-        self.verify()?;
+        let cost = self.cost()?;
         if input.dims() != self.program.input {
             return Err(CoreError::BadProgram {
                 reason: format!(
@@ -293,12 +303,9 @@ impl FrameEngine {
             conv_ordinal: 0,
             conv_packs: &self.conv_packs,
             sar: self.sar.as_ref(),
-            columns: self.columns,
             threads: self.threads,
             noise_scale,
             simd: self.simd,
-            ledger: EnergyLedger::new(),
-            elapsed: Seconds::zero(),
             forced: 0,
         };
         // The input tensor is borrowed, not cloned: instruction outputs move
@@ -310,19 +317,12 @@ impl FrameEngine {
         }
         let (features, codes, rail_clips) =
             pass.quantize(self.program.adc_bits, owned.as_ref().unwrap_or(input))?;
-        let FramePass {
-            mut ledger,
-            elapsed,
-            forced,
-            ..
-        } = pass;
-        ledger.controller = crate::estimate::controller_power() * elapsed;
         Ok(FrameOutput {
             features,
             codes,
-            ledger,
-            elapsed,
-            forced,
+            ledger: cost.ledger,
+            elapsed: cost.nominal.time,
+            forced: pass.forced,
             rail_clips,
             code_mac_hits: 0,
         })
@@ -543,8 +543,8 @@ impl Executor {
 }
 
 /// State for one frame's pass through the program: borrows the executor's
-/// scratch workspace and carries the frame's noise stream, energy ledger,
-/// and clock. Instruction substreams are keyed by a DFS ordinal, so the
+/// scratch workspace and carries the frame's noise stream and forced
+/// comparator tally. Instruction substreams are keyed by a DFS ordinal, so the
 /// noise a given instruction draws is independent of how any *other*
 /// instruction is scheduled or sharded.
 struct FramePass<'a> {
@@ -559,15 +559,12 @@ struct FramePass<'a> {
     conv_packs: &'a [Option<PackedWeights>],
     /// The engine's pack-once SAR ADC template.
     sar: Option<&'a SarAdc>,
-    columns: f64,
     threads: usize,
     /// Device amplitude factor on every layer-noise σ (1.0 nominal).
     noise_scale: f32,
     /// f32 microkernel level for the conv GEMM (bit-identical across
     /// levels; see [`SimdLevel`]).
     simd: SimdLevel,
-    ledger: EnergyLedger,
-    elapsed: Seconds,
     forced: u64,
 }
 
@@ -645,10 +642,6 @@ impl FramePass<'_> {
                 let out = Tensor::from_vec(out, &[*out_c, positions])?;
                 let out = self.add_layer_noise(out, *snr);
                 let out = rectify(out, *relu);
-
-                let macs = geom.macs(*out_c);
-                self.charge_macs(macs, *snr);
-                self.charge_writes(out.len() as u64, *snr);
                 Ok(out.into_reshaped(&[*out_c, geom.out_h(), geom.out_w()])?)
             }
             Instruction::MaxPool {
@@ -664,9 +657,7 @@ impl FramePass<'_> {
                     });
                 }
                 let geom = PoolGeom::new(dims[0], dims[1], dims[2], *window, *stride, *pad)?;
-                let out = self.comparator_maxpool(x, &geom)?;
-                self.charge_writes(out.len() as u64, SnrDb::new(40.0));
-                Ok(out)
+                self.comparator_maxpool(x, &geom)
             }
             Instruction::AvgPool {
                 name,
@@ -683,11 +674,7 @@ impl FramePass<'_> {
                 }
                 let geom = PoolGeom::new(dims[0], dims[1], dims[2], *window, *stride, *pad)?;
                 let out = average_pool(x, &geom)?;
-                let out = self.add_layer_noise(out, *snr);
-                let macs = out.len() as u64 * (*window * *window) as u64;
-                self.charge_macs(macs, *snr);
-                self.charge_writes(out.len() as u64, *snr);
-                Ok(out)
+                Ok(self.add_layer_noise(out, *snr))
             }
             Instruction::Lrn {
                 size,
@@ -698,11 +685,7 @@ impl FramePass<'_> {
                 ..
             } => {
                 let out = lrn(x, *size, *alpha, *beta, *k)?;
-                let out = self.add_layer_noise(out, *snr);
-                let macs = out.len() as u64 * (*size as u64 + 1);
-                self.charge_macs(macs, *snr);
-                self.charge_writes(out.len() as u64, *snr);
-                Ok(out)
+                Ok(self.add_layer_noise(out, *snr))
             }
             Instruction::Inception { branches, .. } => {
                 let mut outs = Vec::with_capacity(branches.len());
@@ -739,26 +722,12 @@ impl FramePass<'_> {
         out
     }
 
-    fn charge_macs(&mut self, macs: u64, snr: SnrDb) {
-        let scale = DampingConfig::from_snr(snr).energy_scale();
-        self.ledger.processing += MAC_ENERGY_40DB * (macs as f64 * scale);
-        self.ledger.macs += macs;
-        self.elapsed += MAC_SETTLE_TIME_40DB * (macs as f64 / self.columns);
-    }
-
-    fn charge_writes(&mut self, writes: u64, snr: SnrDb) {
-        let scale = DampingConfig::from_snr(snr).energy_scale();
-        self.ledger.memory += MEMORY_WRITE_ENERGY_40DB * (writes as f64 * scale);
-        self.ledger.writes += writes;
-    }
-
     /// Max pooling through the dynamic comparator, with real forced
     /// decisions under metastability. Each output element is one noise site
     /// drawing its comparator samples sequentially, so the output shards
-    /// freely over the frame thread budget; per-band decision/forced counts
-    /// are summed in band order and energy is charged as a
-    /// `count × per-decision` product, keeping the ledger independent of the
-    /// thread count.
+    /// freely over the frame thread budget; per-band forced counts are
+    /// summed in band order, keeping the tally independent of the thread
+    /// count.
     fn comparator_maxpool(&mut self, x: &Tensor, geom: &PoolGeom) -> Result<Tensor> {
         let stream = self.next_stream();
         // Gain staging: map the plane's max magnitude to the rail swing.
@@ -773,7 +742,7 @@ impl FramePass<'_> {
         let plane_out = out_h * out_w;
         let src = x.as_slice();
         let mut out = vec![0.0f32; geom.out_len()];
-        let stats = shard_mut(&mut out, self.threads, 1, |first, band| {
+        let band_forced = shard_mut(&mut out, self.threads, 1, |first, band| {
             let mut comparator = Comparator::new();
             for (i, slot) in band.iter_mut().enumerate() {
                 let idx = first + i;
@@ -815,22 +784,16 @@ impl FramePass<'_> {
                 }
                 *slot = best.unwrap_or(0.0);
             }
-            (comparator.decisions_made(), comparator.forced_decisions())
+            comparator.forced_decisions()
         });
-        let decisions: u64 = stats.iter().map(|s| s.0).sum();
-        let forced: u64 = stats.iter().map(|s| s.1).sum();
-        self.forced += forced;
-        self.ledger.pooling += COMPARATOR_ENERGY * decisions as f64;
-        self.ledger.comparisons += decisions;
-        self.elapsed += COMPARATOR_DECISION_TIME * (decisions as f64 / self.columns);
+        self.forced += band_forced.iter().sum::<u64>();
         Ok(Tensor::from_vec(out, &[geom.channels(), out_h, out_w])?)
     }
 
     /// The quantization module: normalizes features to the ADC full scale,
     /// converts each through the bit-accurate SAR model, and returns the
     /// dequantized host-domain tensor plus the raw codes. Each feature is
-    /// one noise site; bands run on per-worker ADC clones and energy is the
-    /// `conversions × per-conversion` product. Also returns how many
+    /// one noise site; bands run on per-worker ADC clones. Also returns how many
     /// features clipped at the 0 V lower rail (per-band counts summed in
     /// band order, so the tally is thread-count independent).
     fn quantize(&mut self, bits: u32, x: &Tensor) -> Result<(Tensor, Vec<u32>, u64)> {
@@ -880,10 +843,6 @@ impl FramePass<'_> {
             clips
         });
         let rail_clips = band_clips.into_iter().sum();
-        self.ledger.quantization += template.energy_per_conversion() * n as f64;
-        self.ledger.conversions += n as u64;
-        self.ledger.readout_bits += n as u64 * u64::from(bits);
-        self.elapsed += template.time_per_conversion() * (n as f64 / self.columns);
         Ok((Tensor::from_vec(deq, x.dims())?, codes, rail_clips))
     }
 }

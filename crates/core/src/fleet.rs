@@ -29,7 +29,7 @@
 
 use crate::executor::{FrameCtx, FrameEngine, FrameOutput};
 use crate::stealing::{auto_workers, run_stealing, StealOptions};
-use crate::{Program, Result};
+use crate::{CostEstimate, Program, Result};
 use redeye_analog::{Joules, ProcessCorner, Seconds};
 use redeye_tensor::{NoiseStream, Tensor};
 use std::sync::Arc;
@@ -241,9 +241,10 @@ impl DeviceScratch {
 pub struct DeviceFrame {
     /// The engine's frame output (features, codes, nominal ledger).
     pub output: FrameOutput,
-    /// Frame energy after the corner's power factor.
+    /// Frame energy at the device's corner (the ledger total through
+    /// [`CostEstimate::at_corner`]).
     pub energy: Joules,
-    /// Frame time after the corner's timing factor.
+    /// Frame time at the device's corner.
     pub frame_time: Seconds,
     /// Bits the sensor radios out for this frame (the ADC readout).
     pub payload_bits: u64,
@@ -301,15 +302,17 @@ impl DeviceCtx {
                 &mut scratch.ctx,
             )?
         };
-        let corner = self.profile.corner;
-        let energy = output.ledger.total() * corner.power_factor();
-        let frame_time = output.elapsed * corner.timing_factor();
+        let at_corner = CostEstimate {
+            energy: output.ledger.total(),
+            time: output.elapsed,
+        }
+        .at_corner(self.profile.corner);
         let payload_bits = output.ledger.readout_bits;
         let digest = frame_digest(&output);
         Ok(DeviceFrame {
             output,
-            energy,
-            frame_time,
+            energy: at_corner.energy,
+            frame_time: at_corner.time,
             payload_bits,
             digest,
         })

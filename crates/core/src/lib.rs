@@ -41,7 +41,11 @@
 //! run: [`compile()`](compile()) verifies its output (policy set by
 //! [`CompileOptions::verify`]) and [`Executor`] refuses to execute a program
 //! with verification errors. The IR itself ([`Program`], [`Instruction`])
-//! lives in `redeye-verify` and is re-exported here unchanged.
+//! lives in `redeye-verify` and is re-exported here unchanged, and so does
+//! the one cost model: the verifier's cost pass yields the
+//! [`EnergyLedger`] every executed frame reports, and its unit charges and
+//! corner rule ([`CostEstimate::at_corner`]) serve the estimator and the
+//! fleet.
 //!
 //! # Example
 //!
@@ -60,7 +64,6 @@
 pub mod area;
 mod batch;
 pub mod compile;
-mod energy;
 mod error;
 pub mod estimate;
 mod executor;
@@ -74,7 +77,6 @@ pub mod topology;
 
 pub use batch::{BatchExecutor, BatchResult};
 pub use compile::{compile, CompileOptions, VerifyPolicy, WeightBank};
-pub use energy::EnergyLedger;
 pub use error::CoreError;
 pub use estimate::{EnergyBreakdown, Estimate, NoisePlan, RedEyeConfig, TimingBreakdown};
 pub use executor::{ExecutionResult, Executor, FrameCtx, FrameEngine, FrameOutput};
@@ -86,8 +88,8 @@ pub use partition::{partition_googlenet, Depth};
 pub use redeye_tensor::SimdLevel;
 pub use redeye_verify::{
     analyze_cost, analyze_ranges, verify, verify_with_limits, verify_with_options, CostBounds,
-    CostBudget, CostEstimate, DiagClass, Diagnostic, Instruction, Program, RangeSummary, Report,
-    ResourceLimits, Severity, VerifyOptions,
+    CostBudget, CostEstimate, DiagClass, Diagnostic, EnergyLedger, Instruction, Program,
+    RangeSummary, Report, ResourceLimits, Severity, VerifyOptions,
 };
 pub use sram::{FeatureSram, ProgramSram, FEATURE_SRAM_BYTES, KERNEL_SRAM_BYTES, TOTAL_SRAM_BYTES};
 pub use stealing::{auto_workers, run_stealing, Placement, StealOptions, StealStats, VictimOrder};

@@ -1,28 +1,32 @@
 //! Property tests of the fleet engine's determinism contract: a fleet run
 //! is a pure function of `(fleet_seed, device_id, frames)` — never of the
 //! worker count, the steal schedule, or which other devices share the
-//! fleet.
+//! fleet. Plus the corner contract: every device's frame energy and time
+//! lie within the static cost bounds.
 
 use proptest::prelude::*;
+use redeye_analog::ProcessCorner;
 use redeye_core::{
-    compile, CompileOptions, DeviceProfile, DeviceWork, FleetEngine, FleetExecutor, FleetOptions,
-    Placement, StealOptions, VictimOrder, WeightBank,
+    analyze_cost, compile, CompileOptions, DeviceProfile, DeviceScratch, DeviceWork, FleetEngine,
+    FleetExecutor, FleetOptions, Placement, Program, StealOptions, VictimOrder, WeightBank,
 };
-use redeye_nn::{build_network, zoo, WeightInit};
+use redeye_nn::{build_network, zoo, NetworkSpec, WeightInit};
 use redeye_tensor::{Rng, Tensor};
 use std::sync::Arc;
+
+fn compiled(spec: &NetworkSpec, cut: &str) -> Program {
+    let prefix = spec.prefix_through(cut).unwrap();
+    let mut rng = Rng::seed_from(17);
+    let mut net = build_network(&prefix, WeightInit::HeNormal, &mut rng).unwrap();
+    let mut bank = WeightBank::from_network(&mut net);
+    compile(&prefix, &mut bank, &CompileOptions::default()).unwrap()
+}
 
 /// The micronet prefix the fleet unit tests use: small enough that a
 /// property case finishes in milliseconds, deep enough to cross a conv, a
 /// comparator pool, and the SAR readout.
 fn fleet_engine(fleet_seed: u64) -> FleetEngine {
-    let spec = zoo::micronet(4, 10);
-    let prefix = spec.prefix_through("pool1").unwrap();
-    let mut rng = Rng::seed_from(17);
-    let mut net = build_network(&prefix, WeightInit::HeNormal, &mut rng).unwrap();
-    let mut bank = WeightBank::from_network(&mut net);
-    let program = compile(&prefix, &mut bank, &CompileOptions::default()).unwrap();
-    FleetEngine::new(program, fleet_seed).unwrap()
+    FleetEngine::new(compiled(&zoo::micronet(4, 10), "pool1"), fleet_seed).unwrap()
 }
 
 fn frames(n: usize, seed: u64) -> Vec<Arc<Tensor>> {
@@ -156,7 +160,6 @@ proptest! {
     /// lottery somewhere in any 64-device window).
     #[test]
     fn corner_sampling_is_pure(fleet_seed in 0u64..u64::MAX, id in 0u64..u64::MAX) {
-        use redeye_analog::ProcessCorner;
         let a = ProcessCorner::for_device(fleet_seed, id);
         let b = ProcessCorner::for_device(fleet_seed, id);
         prop_assert_eq!(a, b);
@@ -165,5 +168,47 @@ proptest! {
                 != ProcessCorner::for_device(fleet_seed ^ 0x5a5a_5a5a, id.wrapping_add(d))
         });
         prop_assert!(differs, "two fleets sampled identical corner windows");
+    }
+}
+
+/// Every process corner among the first 400 devices reports a frame energy
+/// and time inside `analyze_cost`'s `[lower, upper]`: the fleet and the
+/// cost pass's bracket apply the same corner rule.
+#[test]
+fn device_frames_lie_within_static_cost_bounds() {
+    for (spec, cut) in [(zoo::micronet(4, 10), "pool1"), (zoo::googlenet(), "norm1")] {
+        let program = compiled(&spec, cut);
+        let bounds = analyze_cost(&program).expect("cost derivable");
+        let input = Tensor::uniform(&program.input, 0.0, 1.0, &mut Rng::seed_from(5));
+        let fleet = FleetEngine::new(program, 0x5eed).unwrap();
+        let mut scratch = DeviceScratch::new();
+        let mut seen = Vec::new();
+        for id in 0..400 {
+            let device = fleet.device(id);
+            let corner = device.profile().corner;
+            if seen.contains(&corner) {
+                continue;
+            }
+            seen.push(corner);
+            let frame = device.run_frame(0, &input, &mut scratch).unwrap();
+            let (energy, time) = (frame.energy.value(), frame.frame_time.value());
+            assert!(
+                bounds.lower.energy.value() <= energy && energy <= bounds.upper.energy.value(),
+                "{cut} {corner}: energy {energy} outside [{}, {}]",
+                bounds.lower.energy.value(),
+                bounds.upper.energy.value()
+            );
+            assert!(
+                bounds.lower.time.value() <= time && time <= bounds.upper.time.value(),
+                "{cut} {corner}: time {time} outside [{}, {}]",
+                bounds.lower.time.value(),
+                bounds.upper.time.value()
+            );
+        }
+        assert_eq!(
+            seen.len(),
+            ProcessCorner::ALL.len(),
+            "{cut}: corners seen {seen:?}"
+        );
     }
 }

@@ -1,19 +1,23 @@
-//! Pass 7 — static cost model (RE07xx).
+//! Pass 7 — the cost model (RE07xx).
 //!
-//! Recomputes, from shapes alone, exactly the per-op `count × unit-cost`
-//! products the executor's [`EnergyLedger`] charges at run time — same
-//! calibration constants (`redeye_analog::calib`), same damping energy
-//! scale, same column-parallel timing divisor, same depth-first
-//! accumulation order. The resulting *nominal* estimate therefore matches
-//! a real `FrameEngine` ledger bit-for-bit (the executor's charges are a
-//! pure function of the program; noise never reaches the ledger).
+//! This module is the simulator's one cost model: the only code that turns
+//! op counts into energy and time. From shapes alone, the pass charges
+//! every instruction its `count × unit-cost` products (calibration
+//! constants from `redeye_analog::calib`, damping energy scale, the
+//! column-parallel timing divisor) in depth-first program order, into an
+//! itemized nominal [`EnergyLedger`] plus a frame time. The executor does
+//! not charge anything itself: every `FrameEngine` frame reports this
+//! ledger (the charges are a pure function of the program; noise never
+//! reaches them), and the analytic estimator builds its per-layer numbers
+//! from the same unit charges ([`mac_cost`], [`write_energy`],
+//! [`comparison_cost`], [`readout_cost`], [`controller_power`]).
 //!
-//! Around the nominal, the pass brackets the cost across every process
-//! corner (`redeye_analog::ProcessCorner::ALL`): analog and controller
-//! energy scale by the corner's power factor, time (and with it the
-//! time-proportional controller energy) by its timing factor. The `lower ≤
-//! nominal = ledger ≤ upper` bracket is the differential contract the
-//! static-vs-dynamic test harness enforces.
+//! A process corner touches cost in one place, [`CostEstimate::at_corner`]:
+//! energy (controller included) scales by the corner's power factor, time
+//! by its timing factor. The fleet scales each device's frames with it, and
+//! the pass brackets the nominal point with it over every corner
+//! (`redeye_analog::ProcessCorner::ALL`), so `lower ≤ device ≤ upper` holds
+//! by construction for every fleet device.
 //!
 //! Against a configurable [`CostBudget`] the pass emits:
 //!
@@ -21,12 +25,10 @@
 //! - `RE0702` (warning): only the upper energy bound exceeds the cap.
 //! - `RE0703` (error): even the lower frame-time bound exceeds the cap.
 //! - `RE0704` (warning): only the upper frame-time bound exceeds the cap.
-//!
-//! [`EnergyLedger`]: https://docs.rs/redeye-core
 
 use crate::diag::{DiagClass, Diagnostic, Report, Severity};
 use crate::shape::Site;
-use crate::{Instruction, Program};
+use crate::{EnergyLedger, Instruction, Program};
 use redeye_analog::calib::{
     COMPARATOR_DECISION_TIME, COMPARATOR_ENERGY, CONTROLLER_CLOCK_MHZ, CONTROLLER_UW_PER_MHZ,
     MAC_ENERGY_40DB, MAC_SETTLE_TIME_40DB, MEMORY_WRITE_ENERGY_40DB,
@@ -56,16 +58,31 @@ pub struct CostEstimate {
     pub time: Seconds,
 }
 
-/// The static cost bounds for one program, plus the op counts they were
-/// derived from (these equal the dynamic ledger's counters exactly).
+impl CostEstimate {
+    /// The process-corner rule, the one place a corner touches cost: energy
+    /// (controller included) scales by the corner's power factor, time by
+    /// its timing factor. The typical corner is the identity.
+    #[must_use]
+    pub fn at_corner(self, corner: ProcessCorner) -> CostEstimate {
+        CostEstimate {
+            energy: self.energy * corner.power_factor(),
+            time: self.time * corner.timing_factor(),
+        }
+    }
+}
+
+/// The static cost of one program: the itemized nominal ledger every
+/// executed frame reports, and its bracket over the process corners.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CostBounds {
     /// Minimum over all process corners.
     pub lower: CostEstimate,
-    /// The typical-typical corner — equals the dynamic ledger bit-for-bit.
+    /// The typical-typical corner: `ledger.total()` and the frame time.
     pub nominal: CostEstimate,
     /// Maximum over all process corners.
     pub upper: CostEstimate,
+    /// The itemized nominal ledger; the counters below repeat its op counts.
+    pub ledger: EnergyLedger,
     /// Analog MAC operations.
     pub macs: u64,
     /// Comparator decisions.
@@ -167,8 +184,52 @@ pub(crate) fn run(
     Some(bounds)
 }
 
-/// Accumulates the nominal ledger in executor order, then brackets it over
-/// the process corners.
+/// Controller power at the 30-fps clock (§V-D: ≈12 mW). Controller energy
+/// is time-proportional (idle + sequencing power).
+#[must_use]
+pub fn controller_power() -> Watts {
+    Watts::new(CONTROLLER_UW_PER_MHZ * 1e-6 * CONTROLLER_CLOCK_MHZ * 1e6 / 1e6)
+}
+
+/// Energy and column-parallel settling time of `macs` analog MACs damped
+/// for `snr`, spread over `columns` column slices.
+#[must_use]
+pub fn mac_cost(macs: u64, snr: SnrDb, columns: f64) -> CostEstimate {
+    let scale = DampingConfig::from_snr(snr).energy_scale();
+    CostEstimate {
+        energy: MAC_ENERGY_40DB * (macs as f64 * scale),
+        time: MAC_SETTLE_TIME_40DB * (macs as f64 / columns),
+    }
+}
+
+/// Energy of `writes` analog buffer writes damped for `snr`.
+#[must_use]
+pub fn write_energy(writes: u64, snr: SnrDb) -> Joules {
+    let scale = DampingConfig::from_snr(snr).energy_scale();
+    MEMORY_WRITE_ENERGY_40DB * (writes as f64 * scale)
+}
+
+/// Energy and column-parallel time of `decisions` comparator decisions.
+#[must_use]
+pub fn comparison_cost(decisions: u64, columns: f64) -> CostEstimate {
+    CostEstimate {
+        energy: COMPARATOR_ENERGY * decisions as f64,
+        time: COMPARATOR_DECISION_TIME * (decisions as f64 / columns),
+    }
+}
+
+/// Energy and column-parallel time of `conversions` SAR conversions
+/// through `adc`.
+#[must_use]
+pub fn readout_cost(adc: &SarAdc, conversions: u64, columns: f64) -> CostEstimate {
+    CostEstimate {
+        energy: adc.energy_per_conversion() * conversions as f64,
+        time: adc.time_per_conversion() * (conversions as f64 / columns),
+    }
+}
+
+/// Charges the program's instructions in depth-first order into the
+/// nominal ledger, then brackets it over the process corners.
 pub(crate) fn compute(
     program: &Program,
     sites: &[Site<'_>],
@@ -178,33 +239,25 @@ pub(crate) fn compute(
     if !resolution_admissible(program.adc_bits) {
         return None;
     }
-    // The executor parallelizes across the *input width* worth of column
+    // The array parallelizes across the *input width* worth of column
     // slices (gain staging maps the image onto the array).
     let columns = program.input[2].max(1) as f64;
 
-    let mut processing = Joules::zero();
-    let mut pooling = Joules::zero();
-    let mut memory = Joules::zero();
-    let mut quantization = Joules::zero();
+    let mut ledger = EnergyLedger::new();
     let mut elapsed = Seconds::zero();
-    let (mut macs_total, mut comparisons, mut writes_total) = (0u64, 0u64, 0u64);
-
-    let mut charge_macs =
-        |processing: &mut Joules, elapsed: &mut Seconds, macs: u64, snr: SnrDb| {
-            let scale = DampingConfig::from_snr(snr).energy_scale();
-            *processing += MAC_ENERGY_40DB * (macs as f64 * scale);
-            *elapsed += MAC_SETTLE_TIME_40DB * (macs as f64 / columns);
-            macs_total += macs;
-        };
-    let mut charge_writes = |memory: &mut Joules, writes: u64, snr: SnrDb| {
-        let scale = DampingConfig::from_snr(snr).energy_scale();
-        *memory += MEMORY_WRITE_ENERGY_40DB * (writes as f64 * scale);
-        writes_total += writes;
+    let charge_macs = |ledger: &mut EnergyLedger, elapsed: &mut Seconds, macs: u64, snr: SnrDb| {
+        let cost = mac_cost(macs, snr, columns);
+        ledger.processing += cost.energy;
+        ledger.macs += macs;
+        *elapsed += cost.time;
+    };
+    let charge_writes = |ledger: &mut EnergyLedger, writes: u64, snr: SnrDb| {
+        ledger.memory += write_energy(writes, snr);
+        ledger.writes += writes;
     };
 
-    // Sites are in depth-first visit order — the order the executor runs
-    // (and charges) instructions in, which makes the floating-point
-    // accumulation below reproduce the ledger exactly.
+    // Sites are in depth-first visit order, the order a frame runs the
+    // instructions in; the floating-point sums accumulate in that order.
     for site in sites {
         let in_shape = site.in_shape?;
         let out_len = match site.inst {
@@ -225,77 +278,61 @@ pub(crate) fn compute(
             } => {
                 let [c, h, w] = in_shape;
                 let geom = ConvGeom::new(c, h, w, *kernel, *kernel, *stride, *pad).ok()?;
-                charge_macs(&mut processing, &mut elapsed, geom.macs(*out_c), *snr);
-                charge_writes(&mut memory, out_len, *snr);
+                charge_macs(&mut ledger, &mut elapsed, geom.macs(*out_c), *snr);
+                charge_writes(&mut ledger, out_len, *snr);
             }
             Instruction::MaxPool { window, .. } => {
                 // Fixed comparison schedule: window²−1 decisions per output,
                 // padding taps included.
                 let decisions = out_len * ((window * window) as u64 - 1);
-                pooling += COMPARATOR_ENERGY * decisions as f64;
-                comparisons += decisions;
-                elapsed += COMPARATOR_DECISION_TIME * (decisions as f64 / columns);
-                charge_writes(&mut memory, out_len, SnrDb::new(40.0));
+                let cost = comparison_cost(decisions, columns);
+                ledger.pooling += cost.energy;
+                ledger.comparisons += decisions;
+                elapsed += cost.time;
+                charge_writes(&mut ledger, out_len, SnrDb::new(40.0));
             }
             Instruction::AvgPool { window, snr, .. } => {
                 let macs = out_len * (*window * *window) as u64;
-                charge_macs(&mut processing, &mut elapsed, macs, *snr);
-                charge_writes(&mut memory, out_len, *snr);
+                charge_macs(&mut ledger, &mut elapsed, macs, *snr);
+                charge_writes(&mut ledger, out_len, *snr);
             }
             Instruction::Lrn { size, snr, .. } => {
                 let macs = out_len * (*size as u64 + 1);
-                charge_macs(&mut processing, &mut elapsed, macs, *snr);
-                charge_writes(&mut memory, out_len, *snr);
+                charge_macs(&mut ledger, &mut elapsed, macs, *snr);
+                charge_writes(&mut ledger, out_len, *snr);
             }
             Instruction::Inception { .. } => unreachable!(),
         }
     }
 
     // The SAR readout of the final feature map.
-    let template = SarAdc::new(program.adc_bits).ok()?;
-    let n = out_shape[0] * out_shape[1] * out_shape[2];
-    quantization += template.energy_per_conversion() * n as f64;
-    elapsed += template.time_per_conversion() * (n as f64 / columns);
-    let conversions = n as u64;
-    let readout_bits = conversions * u64::from(program.adc_bits);
+    let conversions = (out_shape[0] * out_shape[1] * out_shape[2]) as u64;
+    let readout = readout_cost(&SarAdc::new(program.adc_bits).ok()?, conversions, columns);
+    ledger.quantization += readout.energy;
+    ledger.conversions = conversions;
+    ledger.readout_bits = conversions * u64::from(program.adc_bits);
+    elapsed += readout.time;
+    ledger.controller = controller_power() * elapsed;
 
-    // Controller energy is time-proportional (idle + sequencing power).
-    let controller_power =
-        Watts::new(CONTROLLER_UW_PER_MHZ * 1e-6 * CONTROLLER_CLOCK_MHZ * 1e6 / 1e6);
-    let analog = processing + pooling + memory + quantization;
-    let controller = controller_power * elapsed;
     let nominal = CostEstimate {
-        energy: analog + controller,
+        energy: ledger.total(),
         time: elapsed,
     };
-
-    let (mut lo_e, mut hi_e) = (f64::INFINITY, f64::NEG_INFINITY);
-    let (mut lo_t, mut hi_t) = (f64::INFINITY, f64::NEG_INFINITY);
-    for corner in ProcessCorner::ALL {
-        let pf = corner.power_factor();
-        let tf = corner.timing_factor();
-        let time = elapsed.value() * tf;
-        let energy = analog.value() * pf + controller_power.value() * pf * time;
-        lo_e = lo_e.min(energy);
-        hi_e = hi_e.max(energy);
-        lo_t = lo_t.min(time);
-        hi_t = hi_t.max(time);
+    let (mut lower, mut upper) = (nominal, nominal);
+    for at in ProcessCorner::ALL.map(|corner| nominal.at_corner(corner)) {
+        (lower.energy, lower.time) = (lower.energy.min(at.energy), lower.time.min(at.time));
+        (upper.energy, upper.time) = (upper.energy.max(at.energy), upper.time.max(at.time));
     }
 
     Some(CostBounds {
-        lower: CostEstimate {
-            energy: Joules::new(lo_e),
-            time: Seconds::new(lo_t),
-        },
+        lower,
         nominal,
-        upper: CostEstimate {
-            energy: Joules::new(hi_e),
-            time: Seconds::new(hi_t),
-        },
-        macs: macs_total,
-        comparisons,
-        writes: writes_total,
+        upper,
+        ledger,
+        macs: ledger.macs,
+        comparisons: ledger.comparisons,
+        writes: ledger.writes,
         conversions,
-        readout_bits,
+        readout_bits: ledger.readout_bits,
     })
 }

@@ -30,9 +30,11 @@
 //!    interpretation over an interval-with-noise domain: provable rail
 //!    saturation and dead (always-rectified or constant) signals are
 //!    errors, sub-rail excursions and noise-dominated readouts warnings.
-//! 7. **Cost model** ([`DiagClass::CostModel`], `RE07xx`) — static
-//!    energy/latency bounds from the executor's own per-op cost constants,
-//!    bracketed over process corners and checked against a [`CostBudget`].
+//! 7. **Cost model** ([`DiagClass::CostModel`], `RE07xx`) — the
+//!    simulator's one cost model: the itemized nominal [`EnergyLedger`] and
+//!    frame time from op counts, bracketed over process corners by the one
+//!    corner rule ([`CostEstimate::at_corner`]) and checked against a
+//!    [`CostBudget`]. The executor reports this ledger for every frame.
 //!
 //! Passes 1, 3, and 6 all run on one shared forward-dataflow engine over
 //! the Program IR (the `dataflow` module); the IR is acyclic, so a single
@@ -51,7 +53,8 @@
 //!
 //! [`verify`] checks against the paper's default resources;
 //! [`verify_with_limits`] parameterizes them; [`verify_with_options`] adds
-//! the cost budget; [`verify_against_spec`] adds the conformance pass.
+//! the cost budget; [`verify_with_cost`] also returns the cost pass's
+//! result; [`verify_against_spec`] adds the conformance pass.
 //! All entry points always run every pass and return the full [`Report`]
 //! (diagnostics in canonical order, see [`Report::normalize`]) — policy
 //! (deny errors, deny warnings, ignore) is the caller's decision.
@@ -63,9 +66,10 @@
 
 mod codes;
 mod conformance;
-mod cost;
+pub mod cost;
 mod dataflow;
 mod diag;
+mod ledger;
 mod limits;
 mod noise;
 mod program;
@@ -75,6 +79,7 @@ mod signal;
 
 pub use cost::{CostBounds, CostBudget, CostEstimate};
 pub use diag::{DiagClass, Diagnostic, Report, Severity};
+pub use ledger::EnergyLedger;
 pub use limits::ResourceLimits;
 pub use program::{Instruction, Program};
 pub use signal::RangeSummary;
@@ -111,15 +116,26 @@ pub fn verify_with_limits(program: &Program, limits: &ResourceLimits) -> Report 
 /// Verifies a program with explicit resource limits and cost budget.
 #[must_use]
 pub fn verify_with_options(program: &Program, options: &VerifyOptions) -> Report {
+    verify_with_cost(program, options).0
+}
+
+/// Verifies a program like [`verify_with_options`] and also returns the
+/// cost pass's result from the same shape pass: `None` when the cost is
+/// not statically derivable (the report then carries errors saying why).
+#[must_use]
+pub fn verify_with_cost(
+    program: &Program,
+    options: &VerifyOptions,
+) -> (Report, Option<CostBounds>) {
     let mut report = Report::new(&program.name);
     let (sites, final_shape) = shape::analyze(program, &options.limits, &mut report);
     codes::run(&sites, &mut report);
     noise::run(program, &mut report);
     signal::run(program, &mut report, false);
     resources::run(program, &sites, final_shape, &options.limits, &mut report);
-    cost::run(program, &sites, final_shape, &options.budget, &mut report);
+    let cost = cost::run(program, &sites, final_shape, &options.budget, &mut report);
     report.normalize();
-    report
+    (report, cost)
 }
 
 /// Verifies a program and additionally checks that it conforms to the
@@ -138,8 +154,8 @@ pub fn verify_against_spec(
 
 /// Computes the static per-frame cost bounds for a program, or `None` when
 /// the cost is not statically derivable (shape errors, inadmissible ADC
-/// depth). The nominal point equals a `FrameEngine` ledger exactly; the
-/// bounds bracket it over all process corners.
+/// depth). The nominal ledger is the one every `FrameEngine` frame
+/// reports; the bounds bracket it over all process corners.
 #[must_use]
 pub fn analyze_cost(program: &Program) -> Option<CostBounds> {
     let mut scratch = Report::new(&program.name);
